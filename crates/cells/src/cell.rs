@@ -161,15 +161,11 @@ impl Cell {
             .compute_forces(&self.vertices, &mut self.forces)
     }
 
-    /// Apply a vertex-velocity update: `x += v·dt`, storing `v`.
-    pub fn advect(&mut self, velocities: &[Vec3], dt: f64) {
-        assert_eq!(velocities.len(), self.vertices.len());
-        for ((x, v), &vel) in self
-            .vertices
-            .iter_mut()
-            .zip(self.velocities.iter_mut())
-            .zip(velocities)
-        {
+    /// Move every vertex with the velocity `velocity_at` reports at its
+    /// position: `x += v·dt`, storing `v`.
+    pub fn advect(&mut self, dt: f64, velocity_at: impl Fn(Vec3) -> Vec3) {
+        for (x, v) in self.vertices.iter_mut().zip(&mut self.velocities) {
+            let vel = velocity_at(*x);
             *x += vel * dt;
             *v = vel;
         }
@@ -217,8 +213,7 @@ mod tests {
     fn advect_applies_velocity() {
         let (mem, mesh) = sphere_membrane();
         let mut cell = Cell::with_shape(0, CellKind::Ctc, mem, mesh.vertices);
-        let vels = vec![Vec3::new(0.5, 0.0, 0.0); cell.vertex_count()];
-        cell.advect(&vels, 2.0);
+        cell.advect(2.0, |_| Vec3::new(0.5, 0.0, 0.0));
         assert!((cell.centroid() - Vec3::new(1.0, 0.0, 0.0)).norm() < 1e-12);
         assert_eq!(cell.velocities[0], Vec3::new(0.5, 0.0, 0.0));
     }

@@ -51,11 +51,16 @@ pub fn apply_contact_forces(
     params: ContactParams,
 ) -> usize {
     let mut pairs = 0;
+    // Contact sums are formed from zero and added to the membrane forces
+    // afterwards (the association the forces have always had); the buffer
+    // is shared by all cells of the call.
+    let mut contact: Vec<Vec3> = Vec::new();
     for slot in 0..pool.capacity() {
         let Some(cell) = pool.get(slot) else { continue };
         let id = cell.id;
-        let mut forces = vec![Vec3::ZERO; cell.vertex_count()];
-        for (vi, &p) in cell.vertices.iter().enumerate() {
+        contact.clear();
+        contact.resize(cell.vertex_count(), Vec3::ZERO);
+        for (sum, &p) in contact.iter_mut().zip(&cell.vertices) {
             grid.for_each_neighbor(p, params.cutoff, id, |entry| {
                 let d = entry.position.distance(p);
                 let mag = params.magnitude(d);
@@ -66,13 +71,13 @@ pub fn apply_contact_forces(
                         // Coincident points: deterministic push along x.
                         Vec3::X
                     };
-                    forces[vi] += dir * mag;
+                    *sum += dir * mag;
                     pairs += 1;
                 }
             });
         }
         let cell = pool.get_mut(slot).expect("slot vanished");
-        for (f, add) in cell.forces.iter_mut().zip(&forces) {
+        for (f, add) in cell.forces.iter_mut().zip(&contact) {
             *f += *add;
         }
     }

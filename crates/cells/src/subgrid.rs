@@ -4,6 +4,35 @@
 
 use apr_mesh::Vec3;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiply-rotate hasher for the integer bin keys. Keys come from vertex
+/// positions of the simulation itself, never from outside input, so the
+/// flooding resistance of the default SipHash buys nothing here; queries
+/// name their bins explicitly, so the hash never decides an order.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinHasher(u64);
+
+impl Hasher for BinHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0 ^ (self.0 >> 32)
+    }
+}
 
 /// A point sample registered in the subgrid: owning cell and vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +50,7 @@ pub struct GridEntry {
 pub struct UniformSubgrid {
     /// Cubic bin edge length.
     pub bin_size: f64,
-    bins: HashMap<(i64, i64, i64), Vec<GridEntry>>,
+    bins: HashMap<(i64, i64, i64), Vec<GridEntry>, BuildHasherDefault<BinHasher>>,
     len: usize,
 }
 
@@ -34,7 +63,7 @@ impl UniformSubgrid {
         assert!(bin_size > 0.0, "bin size must be positive, got {bin_size}");
         Self {
             bin_size,
-            bins: HashMap::new(),
+            bins: HashMap::default(),
             len: 0,
         }
     }

@@ -39,9 +39,10 @@ pub fn spread_cell_forces(
     to_lattice: impl Fn(Vec3) -> Vec3,
     force_scale: f64,
 ) {
-    // Batch every cell's vertices (in slot order) into one spread so the
-    // parallel scatter amortizes its scratch fields over the whole
-    // suspension instead of per cell.
+    // One spread for the whole suspension, vertices in slot order: that is
+    // the order every lattice node sums its contributions in. `to_lattice`
+    // is not `Sync`, so it is applied here, on the caller; these two
+    // O(vertices) buffers are the only transients of the spread.
     let total: usize = pool.iter().map(|c| c.vertices.len()).sum();
     let mut positions = Vec::with_capacity(total);
     let mut forces = Vec::with_capacity(total);
@@ -49,9 +50,8 @@ pub fn spread_cell_forces(
         positions.extend(cell.vertices.iter().map(|&v| to_lattice(v)));
         forces.extend(cell.forces.iter().map(|&f| f * force_scale));
     }
-    let scratch = apr_exec::ScratchPool::new();
     let mut field = std::mem::take(&mut lattice.force);
-    apr_ibm::spread_forces_into(lattice, &positions, &forces, kernel, &mut field, &scratch);
+    apr_ibm::spread_forces_into(lattice, &positions, &forces, kernel, &mut field);
     lattice.force = field;
 }
 
@@ -66,13 +66,12 @@ pub fn advect_cells(
     to_lattice: impl Fn(Vec3) -> Vec3 + Sync,
     dt_world: f64,
 ) {
+    // Interpolation reads the lattice only, so each vertex is moved in
+    // place as soon as its velocity is known (Eq. 5).
     pool.par_for_each_mut(|cell| {
-        let velocities: Vec<Vec3> = cell
-            .vertices
-            .iter()
-            .map(|&v| interpolate_velocity(lattice, to_lattice(v), kernel))
-            .collect();
-        cell.advect(&velocities, dt_world);
+        cell.advect(dt_world, |x| {
+            interpolate_velocity(lattice, to_lattice(x), kernel)
+        });
     });
 }
 

@@ -15,15 +15,15 @@
 //!    thread in a fixed-shape ordered pairwise tree over chunk index —
 //!    the floating-point association order is a function of the chunk
 //!    count alone.
-//! 4. Write-conflicting accumulations (IBM force spreading) use
-//!    per-**chunk** scratch buffers from a [`ScratchPool`], merged into the
-//!    output in chunk order on the caller
-//!    ([`ExecPool::par_accumulate_f64`]).
+//!
+//! Write-conflicting accumulations need no rule of their own: the IBM force
+//! spread partitions its *output* into fixed z-slabs, each slab task walks
+//! the producers that touch it in input order, and the scatter is a
+//! disjoint-write kernel under rule 2 (`apr_ibm::spread_forces_into`).
 //!
 //! Together these make every result a pure function of the input and the
 //! chunk layout, so `APR_THREADS=8` reproduces `APR_THREADS=1` bit for
-//! bit. See `DESIGN.md` §9 for the full execution model and the
-//! rayon-shim retirement plan.
+//! bit. See `DESIGN.md` §9 for the full execution model.
 //!
 //! ## Thread count selection
 //!
@@ -37,14 +37,12 @@
 
 pub mod lease;
 pub mod pool;
-pub mod scratch;
 
 pub use lease::{WorkerBudget, WorkerLease};
 pub use pool::{
     set_test_start_jitter, thread_cpu_ns, ChunkPlan, ExecPool, GuidedScheduler, RunStats,
     UnsafeSlice,
 };
-pub use scratch::ScratchPool;
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock};

@@ -138,9 +138,19 @@ impl<'a> CheckpointReader<'a> {
         let mut r = ByteReader::new(&data[..body_end]);
         r.bytes(8)?; // magic, already validated
         r.u32()?; // version, already validated
-        let count = r.u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
-        let mut payload_spans = Vec::with_capacity(count as usize);
+        let count = r.u32()? as usize;
+        // Bound the count by what the body can hold before allocating for
+        // it: a section is at least a name-length byte, a u64 payload
+        // length and a u32 CRC.
+        const MIN_SECTION_BYTES: usize = 1 + 8 + 4;
+        if count > r.remaining() / MIN_SECTION_BYTES {
+            return Err(GuardError::Format(format!(
+                "section count {count} exceeds what {} remaining bytes can hold",
+                r.remaining()
+            )));
+        }
+        let mut sections = Vec::with_capacity(count);
+        let mut payload_spans = Vec::with_capacity(count);
         for _ in 0..count {
             let name_len = r.u8()? as usize;
             let name = std::str::from_utf8(r.bytes(name_len)?)

@@ -5,39 +5,24 @@
 //! lattice in a global frame translate positions before calling.
 
 use crate::delta::DeltaKernel;
-use apr_exec::{ScratchPool, UnsafeSlice};
+use apr_exec::UnsafeSlice;
 use apr_lattice::{Lattice, NodeClass};
 use apr_mesh::Vec3;
+use std::ops::Range;
 
 /// Lagrangian points per exec chunk for the pure (gather) transfers. Any
 /// fixed value keeps results thread-count independent; 32 points amortize
 /// dispatch while still splitting a single cell's vertices across lanes.
 const POINT_CHUNK: usize = 32;
 
-/// Maximum scratch chunks for the (scatter) force spread. Fixed — never
-/// derived from the thread count — so the chunk-ordered merge associates
-/// identically for any `APR_THREADS`.
-const SPREAD_MAX_CHUNKS: usize = 8;
+/// z-planes per owner slab of the force spread. A constant — never derived
+/// from the lane count — and at least [`MAX_STENCIL`], so few points are
+/// listed in more than one slab.
+const SLAB_PLANES: usize = 8;
 
-/// Stencil description around a Lagrangian point for a given kernel.
-struct Stencil {
-    base: [i64; 3],
-    width: usize,
-}
-
-#[inline]
-fn stencil(kernel: DeltaKernel, p: Vec3) -> Stencil {
-    // Leftmost lattice point inside the support [p − s, p + s] on each axis.
-    let s = kernel.support();
-    Stencil {
-        base: [
-            (p.x - s).ceil() as i64,
-            (p.y - s).ceil() as i64,
-            (p.z - s).ceil() as i64,
-        ],
-        width: kernel.stencil_width() + 1,
-    }
-}
+/// Widest per-axis stencil: [`DeltaKernel::stencil_width`] + 1 points
+/// cover the support `[p − s, p + s]` for any offset of `p`.
+const MAX_STENCIL: usize = 5;
 
 #[inline]
 fn wrap(v: i64, n: usize, periodic: bool) -> Option<usize> {
@@ -48,6 +33,96 @@ fn wrap(v: i64, n: usize, periodic: bool) -> Option<usize> {
         Some(((v % n + n) % n) as usize)
     } else {
         None
+    }
+}
+
+/// One axis of a point's tensor-product stencil: the in-range lattice
+/// coordinates carrying a non-zero weight, in stencil order.
+#[derive(Clone, Copy, Default)]
+struct AxisWeights {
+    len: u32,
+    coord: [u32; MAX_STENCIL],
+    weight: [f64; MAX_STENCIL],
+}
+
+impl AxisWeights {
+    /// Evaluate `φ` once per stencil point of one axis of extent `n`.
+    #[inline]
+    fn new(kernel: DeltaKernel, p: f64, n: usize, periodic: bool) -> Self {
+        let mut axis = Self::default();
+        // Leftmost lattice coordinate inside the support [p − s, p + s].
+        let base = (p - kernel.support()).ceil() as i64;
+        for d in 0..=kernel.stencil_width() {
+            let g = base + d as i64;
+            let Some(c) = wrap(g, n, periodic) else {
+                continue;
+            };
+            let w = kernel.phi(p - g as f64);
+            if w != 0.0 {
+                axis.coord[axis.len as usize] = c as u32;
+                axis.weight[axis.len as usize] = w;
+                axis.len += 1;
+            }
+        }
+        axis
+    }
+
+    #[inline]
+    fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let len = self.len as usize;
+        self.coord[..len]
+            .iter()
+            .map(|&c| c as usize)
+            .zip(self.weight[..len].iter().copied())
+    }
+}
+
+/// The separable stencil of one Lagrangian point: 15 `φ` evaluations
+/// instead of one per node of the 5³ box.
+#[derive(Clone, Copy, Default)]
+struct PointStencil {
+    x: AxisWeights,
+    y: AxisWeights,
+    z: AxisWeights,
+}
+
+impl PointStencil {
+    #[inline]
+    fn new(lattice: &Lattice, p: Vec3, kernel: DeltaKernel) -> Self {
+        Self {
+            x: AxisWeights::new(kernel, p.x, lattice.nx, lattice.periodic[0]),
+            y: AxisWeights::new(kernel, p.y, lattice.ny, lattice.periodic[1]),
+            z: AxisWeights::new(kernel, p.z, lattice.nz, lattice.periodic[2]),
+        }
+    }
+
+    /// Visit every stencil node on the z-planes `planes` with its weight
+    /// `(wz·wy)·wx`, z outermost. The product order and the zero-weight
+    /// skips are those of evaluating `φ` inside the triple loop, so both
+    /// transfers round exactly as that loop did.
+    #[inline]
+    fn for_each_node(
+        &self,
+        lattice: &Lattice,
+        planes: &Range<usize>,
+        mut visit: impl FnMut(usize, f64),
+    ) {
+        for (z, wz) in self.z.iter().filter(|(z, _)| planes.contains(z)) {
+            for (y, wy) in self.y.iter() {
+                let wyz = wz * wy;
+                if wyz == 0.0 {
+                    continue;
+                }
+                let row = lattice.nx * (y + lattice.ny * z);
+                for (x, wx) in self.x.iter() {
+                    let w = wyz * wx;
+                    if w == 0.0 {
+                        continue;
+                    }
+                    visit(row + x, w);
+                }
+            }
+        }
     }
 }
 
@@ -75,41 +150,11 @@ pub fn interpolate_velocities(
 
 /// Interpolate the velocity at a single Lagrangian point.
 pub fn interpolate_velocity(lattice: &Lattice, p: Vec3, kernel: DeltaKernel) -> Vec3 {
-    let s = stencil(kernel, p);
     let mut v = Vec3::ZERO;
-    for dz in 0..s.width {
-        let gz = s.base[2] + dz as i64;
-        let Some(z) = wrap(gz, lattice.nz, lattice.periodic[2]) else {
-            continue;
-        };
-        let wz = kernel.phi(p.z - gz as f64);
-        if wz == 0.0 {
-            continue;
-        }
-        for dy in 0..s.width {
-            let gy = s.base[1] + dy as i64;
-            let Some(y) = wrap(gy, lattice.ny, lattice.periodic[1]) else {
-                continue;
-            };
-            let wyz = wz * kernel.phi(p.y - gy as f64);
-            if wyz == 0.0 {
-                continue;
-            }
-            for dx in 0..s.width {
-                let gx = s.base[0] + dx as i64;
-                let Some(x) = wrap(gx, lattice.nx, lattice.periodic[0]) else {
-                    continue;
-                };
-                let w = wyz * kernel.phi(p.x - gx as f64);
-                if w == 0.0 {
-                    continue;
-                }
-                let node = lattice.idx(x, y, z);
-                let u = lattice.velocity_at(node);
-                v += Vec3::new(u[0], u[1], u[2]) * w;
-            }
-        }
-    }
+    PointStencil::new(lattice, p, kernel).for_each_node(lattice, &(0..lattice.nz), |node, w| {
+        let u = lattice.velocity_at(node);
+        v += Vec3::new(u[0], u[1], u[2]) * w;
+    });
     v
 }
 
@@ -128,24 +173,25 @@ pub fn spread_forces(
     forces: &[Vec3],
     kernel: DeltaKernel,
 ) -> f64 {
-    let scratch = ScratchPool::new();
     // Detach the force field so the spread can read lattice flags while
     // accumulating into it.
     let mut field = std::mem::take(&mut lattice.force);
-    let covered = spread_forces_into(lattice, positions, forces, kernel, &mut field, &scratch);
+    let covered = spread_forces_into(lattice, positions, forces, kernel, &mut field);
     lattice.force = field;
     covered
 }
 
 /// [`spread_forces`] variant that accumulates into a caller-owned force
-/// field (`node*3 + axis`, same layout as `Lattice::force`) and recycles
-/// scratch buffers across calls — the steady-state path used by the FSI
-/// loop, which spreads many cells per sub-step.
+/// field (`node*3 + axis`, same layout as `Lattice::force`).
 ///
-/// Runs in parallel over fixed position chunks; per-chunk scratch fields
-/// are merged into `out` in chunk order on the caller, so the result is
-/// bit-identical for any thread count. Returns the mean spread weight that
-/// landed on fluid nodes (see [`spread_forces`]).
+/// Owner-computes scatter: `out` is cut into fixed slabs of
+/// [`SLAB_PLANES`] z-planes (z is the slowest index, so slabs are disjoint
+/// ranges of `out`), points are binned by the slabs their stencils touch,
+/// and each slab task walks its points in input order adding straight into
+/// its own planes. Every node therefore sums its contributions in input
+/// order at any lane count — bit for bit what a serial loop over the
+/// points produces. Transient memory is O(points). Returns the mean spread
+/// weight that landed on fluid nodes (see [`spread_forces`]).
 ///
 /// # Panics
 /// Panics if `positions`/`forces` lengths differ or `out` does not cover
@@ -156,80 +202,81 @@ pub fn spread_forces_into(
     forces: &[Vec3],
     kernel: DeltaKernel,
     out: &mut [f64],
-    scratch: &ScratchPool<Vec<f64>>,
 ) -> f64 {
     assert_eq!(positions.len(), forces.len(), "positions/forces mismatch");
     assert_eq!(out.len(), lattice.node_count() * 3, "force field size");
     if positions.is_empty() {
         return 0.0;
     }
-    let chunks = positions.len().min(SPREAD_MAX_CHUNKS);
-    let mut chunk_weights = vec![0.0f64; chunks];
-    {
-        let weights = UnsafeSlice::new(&mut chunk_weights);
-        apr_exec::current().par_accumulate_f64(
-            out,
-            positions.len(),
-            SPREAD_MAX_CHUNKS,
-            scratch,
-            |chunk, range, buf| {
+    let exec = apr_exec::current();
+    // Weights once per point, shared by the slabs it touches.
+    let mut stencils = vec![PointStencil::default(); positions.len()];
+    exec.par_for_chunks_mut(&mut stencils, POINT_CHUNK, |chunk, part| {
+        let first = chunk * POINT_CHUNK;
+        for (k, st) in part.iter_mut().enumerate() {
+            *st = PointStencil::new(lattice, positions[first + k], kernel);
+        }
+    });
+    let bins = bin_by_slab(lattice.nz.div_ceil(SLAB_PLANES), &stencils);
+    let plane = lattice.nx * lattice.ny;
+    let field = UnsafeSlice::new(out);
+    let covered_weight = exec
+        .par_map_reduce(
+            lattice.nz,
+            SLAB_PLANES,
+            |slab, planes| {
+                // SAFETY: slab z-ranges are pairwise disjoint, and z is the
+                // slowest index of the field.
+                let part =
+                    unsafe { field.slice_mut(planes.start * plane * 3, planes.len() * plane * 3) };
+                let first_node = planes.start * plane;
                 let mut covered = 0.0;
-                for (&p, &g) in positions[range.clone()].iter().zip(&forces[range]) {
-                    covered += spread_one(lattice, p, g, kernel, buf);
+                for &i in &bins[slab] {
+                    let g = forces[i as usize];
+                    let mut point_covered = 0.0;
+                    stencils[i as usize].for_each_node(lattice, &planes, |node, w| {
+                        if lattice.flag(node) == NodeClass::Fluid {
+                            let o = (node - first_node) * 3;
+                            let f = &mut part[o..o + 3];
+                            f[0] += g.x * w;
+                            f[1] += g.y * w;
+                            f[2] += g.z * w;
+                            point_covered += w;
+                        }
+                    });
+                    covered += point_covered;
                 }
-                // SAFETY: one writer per chunk slot.
-                unsafe { weights.slice_mut(chunk, 1)[0] = covered };
+                covered
             },
-        );
-    }
-    // Chunk-ordered sum: association fixed by the chunk count alone.
-    let covered_weight: f64 = chunk_weights.iter().sum();
+            |a, b| a + b,
+        )
+        .unwrap_or(0.0);
     covered_weight / positions.len() as f64
 }
 
-/// Spread one Lagrangian force into `field`, returning the fluid-covered
-/// weight of its stencil.
-fn spread_one(lattice: &Lattice, p: Vec3, g: Vec3, kernel: DeltaKernel, field: &mut [f64]) -> f64 {
-    let s = stencil(kernel, p);
-    let mut covered_weight = 0.0;
-    for dz in 0..s.width {
-        let gz = s.base[2] + dz as i64;
-        let Some(z) = wrap(gz, lattice.nz, lattice.periodic[2]) else {
-            continue;
-        };
-        let wz = kernel.phi(p.z - gz as f64);
-        if wz == 0.0 {
-            continue;
-        }
-        for dy in 0..s.width {
-            let gy = s.base[1] + dy as i64;
-            let Some(y) = wrap(gy, lattice.ny, lattice.periodic[1]) else {
-                continue;
-            };
-            let wyz = wz * kernel.phi(p.y - gy as f64);
-            if wyz == 0.0 {
-                continue;
-            }
-            for dx in 0..s.width {
-                let gx = s.base[0] + dx as i64;
-                let Some(x) = wrap(gx, lattice.nx, lattice.periodic[0]) else {
-                    continue;
-                };
-                let w = wyz * kernel.phi(p.x - gx as f64);
-                if w == 0.0 {
-                    continue;
-                }
-                let node = lattice.idx(x, y, z);
-                if lattice.flag(node) == NodeClass::Fluid {
-                    field[node * 3] += g.x * w;
-                    field[node * 3 + 1] += g.y * w;
-                    field[node * 3 + 2] += g.z * w;
-                    covered_weight += w;
-                }
+/// Point indices by owner slab: `bins[s]` lists, in input order, the points
+/// with a stencil plane in slab `s` (`z / SLAB_PLANES`), each once.
+fn bin_by_slab(slabs: usize, stencils: &[PointStencil]) -> Vec<Vec<u32>> {
+    assert!(
+        u32::try_from(stencils.len()).is_ok(),
+        "too many Lagrangian points"
+    );
+    let mut bins = vec![Vec::new(); slabs];
+    for (i, st) in stencils.iter().enumerate() {
+        // A periodic stencil can leave a slab and wrap back into it (last
+        // slab shorter than the stencil), so compare with every slab seen.
+        let mut seen = [usize::MAX; MAX_STENCIL];
+        let mut count = 0;
+        for (z, _) in st.z.iter() {
+            let slab = z / SLAB_PLANES;
+            if !seen[..count].contains(&slab) {
+                seen[count] = slab;
+                count += 1;
+                bins[slab].push(i as u32);
             }
         }
     }
-    covered_weight
+    bins
 }
 
 /// Advance Lagrangian points by interpolated velocity over one unit time

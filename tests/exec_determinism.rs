@@ -4,8 +4,8 @@
 //! the identical trajectory under a multithreaded pool.
 //!
 //! apr-exec guarantees this by construction — chunk layout depends only on
-//! the problem size, never the thread count, and all reductions and
-//! scratch-buffer merges happen in fixed chunk order — so these tests pin
+//! the problem size, never the thread count, reductions fold in fixed chunk
+//! order and the force scatter partitions its output — so these tests pin
 //! the contract end-to-end through the full engine (LBM, IBM spreading,
 //! membrane forces, hematocrit maintenance, RNG-driven insertion).
 //!
