@@ -2,7 +2,7 @@
 //! `BENCH_*.json` artifacts against a committed baseline.
 //!
 //! ```text
-//! bench_suite run  [--scenario all|tube|window_move|scaling|kernels|serve|network]
+//! bench_suite run  [--scenario all|tube|window_move|scaling|serve|network]
 //!                  [--threads 1,4] [--steps N] [--out-dir DIR]
 //! bench_suite diff <OLD> <NEW> [--threshold 0.15] [--warn-only]
 //! bench_suite gate <SCALING.json> [--min-speedup 1.5]
@@ -25,7 +25,7 @@ use apr_bench::observatory::{
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage:\n  \
-    bench_suite run [--scenario all|tube|window_move|scaling|kernels|serve|network] [--threads 1,4] [--steps N] [--out-dir DIR]\n  \
+    bench_suite run [--scenario all|tube|window_move|scaling|serve|network] [--threads 1,4] [--steps N] [--out-dir DIR]\n  \
     bench_suite diff <OLD.json> <NEW.json> [--threshold 0.15] [--warn-only]\n  \
     bench_suite gate <SCALING.json> [--min-speedup 1.5]";
 

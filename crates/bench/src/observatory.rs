@@ -795,21 +795,14 @@ pub fn gate_scaling(artifact: &BenchArtifact) -> Result<GateVerdict, String> {
 // ---------------------------------------------------------------------------
 
 /// Scenario names `bench_suite run` accepts, in artifact order.
-pub const SCENARIOS: &[&str] = &[
-    "tube",
-    "window_move",
-    "scaling",
-    "kernels",
-    "serve",
-    "network",
-];
+pub const SCENARIOS: &[&str] = &["tube", "window_move", "scaling", "serve", "network"];
 
 /// Default timed step count per scenario (all ≥ the diff noise floor's
 /// minimum occurrence count, so per-phase percentiles are diffable). For
 /// `serve` this is the per-session step target.
 pub fn default_steps(scenario: &str) -> u64 {
     match scenario {
-        "scaling" | "kernels" => 12,
+        "scaling" => 12,
         "serve" => 24,
         "network" => 20,
         _ => 30,
@@ -987,70 +980,6 @@ fn measure_resilience_overhead(steps: u64) -> Result<f64, String> {
     Ok((resilient_ns / raw_ns - 1.0) * 100.0)
 }
 
-/// `kernels` scenario: the SIMD fused kernel on the scaling box (paper
-/// Table 1's per-node update cost). Before timing, runs a short
-/// three-way bit-comparison (reference vs fused vs SIMD) and checks both
-/// fused backends hold less auxiliary memory than a second distribution
-/// array — so the headline MLUPS can never come from a diverged or
-/// memory-cheating kernel. The timed region covers the two fused kernels
-/// back to back; the reported wall is their sum, keeping the headline
-/// comparable to earlier fused-only artifacts while the per-phase rows
-/// (`bench.kernels.fused` / `bench.kernels.simd`) split them.
-fn run_kernels(steps: u64) -> Result<(u64, u64), String> {
-    use apr_lattice::KernelKind;
-    let edge = 32usize;
-    let make = |kind: KernelKind| {
-        let mut lat = apr_lattice::Lattice::new(edge, edge, edge, 0.9);
-        lat.periodic = [true, true, true];
-        lat.body_force = [1e-7, 0.0, 0.0];
-        lat.set_kernel(Some(kind));
-        lat
-    };
-    let mut reference = make(KernelKind::Reference);
-    let mut fused = make(KernelKind::FusedSwap);
-    let mut simd = make(KernelKind::FusedSimd);
-    for _ in 0..3 {
-        reference.step();
-        fused.step();
-        simd.step();
-    }
-    for node in 0..reference.node_count() {
-        if reference.distributions(node) != fused.distributions(node) {
-            return Err(format!(
-                "fused kernel diverged from reference at node {node}"
-            ));
-        }
-        if reference.distributions(node) != simd.distributions(node) {
-            return Err(format!(
-                "simd kernel diverged from reference at node {node}"
-            ));
-        }
-    }
-    let second_array_bytes = reference.node_count() * apr_lattice::Q * 8;
-    for (name, lat) in [("fused", &fused), ("simd", &simd)] {
-        if lat.kernel_scratch_bytes() >= second_array_bytes {
-            return Err(format!(
-                "{name} kernel scratch ({} B) is not smaller than the second \
-                 distribution array it is supposed to eliminate ({} B)",
-                lat.kernel_scratch_bytes(),
-                second_array_bytes
-            ));
-        }
-    }
-    apr_telemetry::global().enable();
-    let (_, fused_ns) = apr_telemetry::time("bench.kernels.fused", || {
-        for _ in 0..steps {
-            fused.step();
-        }
-    });
-    let (_, simd_ns) = apr_telemetry::time("bench.kernels.simd", || {
-        for _ in 0..steps {
-            simd.step();
-        }
-    });
-    Ok(((edge * edge * edge) as u64 * steps * 2, fused_ns + simd_ns))
-}
-
 /// `serve` scenario: 16 sessions over 2 scenario specs oversubscribed onto
 /// a `threads`-lane worker budget, scheduled by checkpoint-preempt-resume
 /// with the warm-state cache live (the paper's parameter-sweep shape:
@@ -1146,7 +1075,6 @@ pub fn run_scenario(scenario: &str, threads: usize, steps: u64) -> Result<BenchR
         "tube" => run_tube(steps),
         "window_move" => run_window_move(steps),
         "scaling" => run_scaling(steps),
-        "kernels" => run_kernels(steps),
         "serve" => run_serve(steps, threads).map(|(site_updates, wall_ns, summary)| {
             service_summary = Some(summary);
             (site_updates, wall_ns)

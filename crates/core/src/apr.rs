@@ -152,7 +152,8 @@ impl AprEngineBuilder {
     }
 
     /// LBM collide/stream kernel variant for both lattices; `None`
-    /// (the default) defers to `APR_KERNEL` / the startup micro-probe.
+    /// (the default) defers to the installed `RuntimeConfig`, then
+    /// `APR_KERNEL`, then the fused kernel.
     pub fn lbm_kernel(mut self, kind: impl Into<Option<KernelKind>>) -> Self {
         self.lbm_kernel = kind.into();
         self
@@ -239,12 +240,7 @@ impl AprEngineBuilder {
         let kernel_attr = runtime.and_then(|c| c.kernel).or(lbm_kernel);
         apr_telemetry::set_attribute(
             "runtime.kernel",
-            match kernel_attr {
-                Some(KernelKind::Reference) => "reference",
-                Some(KernelKind::FusedSwap) => "fused",
-                Some(KernelKind::FusedSimd) => "simd",
-                None => "auto",
-            },
+            kernel_attr.map_or("auto", KernelKind::as_str),
         );
         apr_telemetry::set_attribute("runtime.threads", apr_exec::current_threads().to_string());
         apr_telemetry::set_attribute(

@@ -55,20 +55,9 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Resolve from the `APR_THREADS` environment variable.
-    ///
-    /// Unset, empty, unparsable, or `0` → one lane per available core.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use apr_kernels::RuntimeConfig::from_env (typed errors, one \
-                parser for APR_KERNEL/APR_THREADS/APR_CHUNKING) and install()"
-    )]
-    pub fn from_env() -> Self {
-        Self::resolve_env()
-    }
-
-    /// Lenient `APR_THREADS` resolution, kept for the lazily created global
-    /// pool. The strict, typed parse lives in
+    /// Lenient `APR_THREADS` resolution for the lazily created global
+    /// pool: unset, empty, unparsable, or `0` → one lane per available
+    /// core. The strict, typed parse lives in
     /// `apr_kernels::RuntimeConfig::from_env`.
     pub(crate) fn resolve_env() -> Self {
         let requested = std::env::var("APR_THREADS")

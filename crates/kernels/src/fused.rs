@@ -36,7 +36,7 @@
 //! tail of the sweep. Whatever remains (partners still in flight, chunks
 //! claimed before completion) is finished sequentially after the barrier.
 //!
-//! **Determinism argument** (DESIGN.md §14): the chunk layout is a pure
+//! **Determinism argument** (DESIGN.md §11): the chunk layout is a pure
 //! function of the plan inputs; every op owns a pairwise-disjoint slot
 //! set; a deferred swap is a pure exchange of two already-final doubles,
 //! executed after both endpoints' collisions (enforced by the Release
@@ -77,7 +77,7 @@ const DIR_MASK: u64 = (1 << DIR_BITS) - 1;
 /// Chunks handed out per pool lane: fine enough that a lane drawing cheap
 /// chunks keeps pulling work, coarse enough that claim traffic stays
 /// negligible next to a chunk's node sweep.
-pub(crate) const CHUNKS_PER_LANE: usize = 8;
+const CHUNKS_PER_LANE: usize = 8;
 
 /// Swap slots `(n, i)` and `(m, opp(i))` through a shared raw view.
 ///
@@ -93,19 +93,19 @@ unsafe fn swap_slots(f: &UnsafeSlice<f64>, n: usize, i: usize, m: usize) {
 
 /// Shared raw-view context for one fused pass: everything a per-chunk
 /// closure needs to collide nodes and replay ops.
-pub(crate) struct FusedCtx<'v> {
-    pub table: &'v AdjacencyTable,
-    pub f: UnsafeSlice<'v, f64>,
-    pub rho: UnsafeSlice<'v, f64>,
-    pub vel: UnsafeSlice<'v, f64>,
-    pub force: &'v [f64],
-    pub tau_field: Option<&'v [f64]>,
-    pub global_tau: f64,
-    pub bf: [f64; 3],
+struct FusedCtx<'v> {
+    table: &'v AdjacencyTable,
+    f: UnsafeSlice<'v, f64>,
+    rho: UnsafeSlice<'v, f64>,
+    vel: UnsafeSlice<'v, f64>,
+    force: &'v [f64],
+    tau_field: Option<&'v [f64]>,
+    global_tau: f64,
+    bf: [f64; 3],
 }
 
 impl<'v> FusedCtx<'v> {
-    pub(crate) fn new(view: &'v mut LatticeView<'_>, table: &'v AdjacencyTable) -> Self {
+    fn new(view: &'v mut LatticeView<'_>, table: &'v AdjacencyTable) -> Self {
         Self {
             table,
             f: UnsafeSlice::new(view.f.as_mut_slice()),
@@ -125,7 +125,7 @@ impl<'v> FusedCtx<'v> {
 /// # Safety
 /// The caller must be the sole accessor of `node`'s f/rho/vel storage.
 #[inline]
-pub(crate) unsafe fn collide_node_reversed(ctx: &FusedCtx, node: usize) -> f64 {
+unsafe fn collide_node_reversed(ctx: &FusedCtx, node: usize) -> f64 {
     let fs = ctx.f.slice_mut(node * Q, Q);
     let rho = &mut ctx.rho.slice_mut(node, 1)[0];
     let vel = ctx.vel.slice_mut(node * 3, 3);
@@ -145,7 +145,7 @@ pub(crate) unsafe fn collide_node_reversed(ctx: &FusedCtx, node: usize) -> f64 {
 /// for the kernel's lifetime). Chunks are z-plane-aligned and weighted by
 /// fluid-node count, so a plane of walls never occupies a lane as long as
 /// a plane of fluid.
-pub(crate) fn costed_plan<'a>(
+fn costed_plan<'a>(
     table: &AdjacencyTable,
     plane: usize,
     cache: &'a mut Option<(usize, ChunkPlan)>,
@@ -162,7 +162,7 @@ pub(crate) fn costed_plan<'a>(
 /// Scalar fused sweep of one chunk: collide each node, then execute its
 /// ops — inline when the partner has already collided *in this chunk's
 /// sweep*, deferred into `pending` otherwise.
-pub(crate) fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64>) {
+fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64>) {
     let table = ctx.table;
     let lo = range.start;
     for node in range {
@@ -223,72 +223,17 @@ pub(crate) fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &
     }
 }
 
-/// Op replay for a fully-collided chunk `[lo, hi)`: inline when the
-/// partner lies anywhere *within the chunk* (both endpoints collided —
-/// this is the two-pass form used after a whole-chunk SIMD collide),
-/// deferred into `pending` otherwise.
-pub(crate) fn replay_chunk_deferring(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64>) {
-    let table = ctx.table;
-    let (lo, hi) = (range.start, range.end);
-    for node in range {
-        match table.kind[node] {
-            NodeKind::Skip => {}
-            // SAFETY (all arms): each op owns its slot set; inline
-            // execution requires only that both endpoints have collided,
-            // which holds for any partner inside this chunk.
-            NodeKind::Fast => {
-                for (k, &i) in FWD.iter().enumerate() {
-                    let m = node - table.fwd_offset[k];
-                    if m >= lo {
-                        unsafe { swap_slots(&ctx.f, node, i, m) };
-                    } else {
-                        pending.push(((node as u64) << DIR_BITS) | i as u64);
-                    }
-                }
-            }
-            NodeKind::Slow => {
-                for i in 1..Q {
-                    let op = table.ops[node * Q + i];
-                    let payload = (op & PAYLOAD_MASK) as usize;
-                    match op >> TAG_SHIFT {
-                        TAG_DONE | TAG_BOUNCE => {}
-                        TAG_SWAP => {
-                            if payload >= lo && payload < hi {
-                                unsafe { swap_slots(&ctx.f, node, i, payload) };
-                            } else {
-                                pending.push(((node as u64) << DIR_BITS) | i as u64);
-                            }
-                        }
-                        TAG_LOAD => unsafe {
-                            ctx.f.slice_mut(node * Q + i, 1)[0] =
-                                ctx.f.slice_mut(payload * Q + i, 1)[0];
-                        },
-                        TAG_MOVING => unsafe {
-                            let [six_w, cu] = table.moving_coeff[payload];
-                            let r = ctx.rho.slice_mut(node, 1)[0];
-                            ctx.f.slice_mut(node * Q + i, 1)[0] += six_w * r * cu;
-                        },
-                        tag => unreachable!("corrupt op tag {tag}"),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The shared fused-step driver: claim chunks through a
-/// [`GuidedScheduler`] (guided cursor or static pre-partition per
-/// `chunking`), run `process` once per chunk, overlap the deferred-swap
-/// drain with the sweep tail, and finish leftovers sequentially after the
-/// barrier. `process(ctx, chunk, range, pending)` must fully collide and
-/// replay its chunk, pushing cross-chunk swaps into `pending` encoded as
+/// The fused-step driver: claim chunks through a [`GuidedScheduler`]
+/// (guided cursor or static pre-partition per `chunking`), run
+/// [`scalar_fused_chunk`] once per chunk, overlap the deferred-swap drain
+/// with the sweep tail, and finish leftovers sequentially after the
+/// barrier. Cross-chunk swaps sit in the chunk's deferral list encoded as
 /// `(node << 5) | dir`.
-pub(crate) fn run_fused_step(
+fn run_fused_step(
     ctx: &FusedCtx,
     chunking: ChunkingPolicy,
     defer: &mut Vec<Vec<u64>>,
     plan: &ChunkPlan,
-    process: impl Fn(&FusedCtx, usize, Range<usize>, &mut Vec<u64>) + Sync,
 ) {
     if plan.is_empty() {
         return;
@@ -313,7 +258,7 @@ pub(crate) fn run_fused_step(
             // SAFETY: every chunk is claimed exactly once, so its
             // deferral list has one owner here.
             let list = unsafe { &mut pending.slice_mut(c, 1)[0] };
-            process(ctx, c, range, list);
+            scalar_fused_chunk(ctx, range, list);
             sched.mark_done(c);
         }
         // Drain overlap: instead of idling at the barrier, execute
@@ -377,32 +322,6 @@ pub(crate) fn run_fused_step(
     }
 }
 
-/// Streaming phase for reversed-stored populations: replay the op table
-/// over the whole domain (every node has collided, so all ops run
-/// inline). Chunk hand-out follows the view's chunking policy; either way
-/// the values are slot-local and order-free.
-pub(crate) fn stream_replay(view: &mut LatticeView, table: &AdjacencyTable, plan: &ChunkPlan) {
-    let n = view.node_count();
-    let plane = view.nx * view.ny;
-    let chunking = view.chunking;
-    let rho: &[f64] = view.rho;
-    let f = UnsafeSlice::new(view.f.as_mut_slice());
-    let pool = apr_exec::current();
-    let grain = stream_grain(view.nz, pool.threads());
-    let body = |range: Range<usize>| replay_range(table, &f, rho, range);
-    match chunking {
-        ChunkingPolicy::Guided => pool.par_for_guided(plan, |_, range| body(range)),
-        ChunkingPolicy::Static => pool.par_for_ranges(n, plane * grain, |_, range| body(range)),
-    }
-    if apr_telemetry::is_enabled() {
-        apr_telemetry::gauge_set(
-            "exec.lattice.stream.utilization",
-            pool.last_run_stats().utilization(),
-        );
-        apr_telemetry::gauge_set("lattice.stream.grain", grain as f64);
-    }
-}
-
 /// Replay every op of `range` inline — valid only when *all* nodes have
 /// already collided (the split-half stream).
 fn replay_range(table: &AdjacencyTable, f: &UnsafeSlice<f64>, rho: &[f64], range: Range<usize>) {
@@ -439,55 +358,6 @@ fn replay_range(table: &AdjacencyTable, f: &UnsafeSlice<f64>, rho: &[f64], range
             }
         }
     }
-}
-
-/// Collision phase over the whole domain with reversed stores, dispatched
-/// per the view's chunking policy. Shared by the scalar backend's split
-/// half; the SIMD backend has its own vectorized equivalent.
-pub(crate) fn collide_reversed(view: &mut LatticeView, table: &AdjacencyTable, plan: &ChunkPlan) {
-    let n = view.node_count();
-    let plane = view.nx * view.ny;
-    let chunking = view.chunking;
-    let pool = apr_exec::current();
-    let ctx = FusedCtx::new(view, table);
-    let body = |range: Range<usize>| {
-        for node in range {
-            if ctx.table.kind[node] == NodeKind::Skip {
-                continue;
-            }
-            // SAFETY: chunk ranges are disjoint; node storage is touched
-            // by exactly one lane.
-            unsafe { collide_node_reversed(&ctx, node) };
-        }
-    };
-    match chunking {
-        ChunkingPolicy::Guided => pool.par_for_guided(plan, |_, range| body(range)),
-        ChunkingPolicy::Static => pool.par_for_ranges(n, plane, |_, range| body(range)),
-    }
-    if apr_telemetry::is_enabled() {
-        apr_telemetry::gauge_set(
-            "exec.lattice.collide.utilization",
-            pool.last_run_stats().utilization(),
-        );
-    }
-}
-
-/// Heap bytes held by a per-chunk deferral-list set plus a cached plan —
-/// shared accounting for both fused backends' `scratch_bytes`.
-pub(crate) fn fused_scratch_bytes(
-    table: &AdjacencyTable,
-    defer: &[Vec<u64>],
-    plan: &Option<(usize, ChunkPlan)>,
-) -> usize {
-    table.bytes()
-        + defer
-            .iter()
-            .map(|d| d.capacity() * std::mem::size_of::<u64>())
-            .sum::<usize>()
-        + plan
-            .as_ref()
-            .map(|(_, p)| (p.chunks() + 1) * std::mem::size_of::<usize>())
-            .unwrap_or(0)
 }
 
 /// In-place fused collide+stream backend over a precomputed
@@ -531,18 +401,63 @@ impl KernelBackend for FusedSwapKernel {
         KernelKind::FusedSwap
     }
 
+    /// Collision half over the whole domain with reversed stores,
+    /// dispatched per the view's chunking policy.
     fn collide(&mut self, view: &mut LatticeView) {
         let Self { table, plan, .. } = self;
-        let threads = apr_exec::current().threads();
-        let plan = costed_plan(table, view.nx * view.ny, plan, threads);
-        collide_reversed(view, table, plan);
+        let pool = apr_exec::current();
+        let plane = view.nx * view.ny;
+        let plan = costed_plan(table, plane, plan, pool.threads());
+        let n = view.node_count();
+        let chunking = view.chunking;
+        let ctx = FusedCtx::new(view, table);
+        let body = |range: Range<usize>| {
+            for node in range {
+                if ctx.table.kind[node] == NodeKind::Skip {
+                    continue;
+                }
+                // SAFETY: chunk ranges are disjoint; node storage is touched
+                // by exactly one lane.
+                unsafe { collide_node_reversed(&ctx, node) };
+            }
+        };
+        match chunking {
+            ChunkingPolicy::Guided => pool.par_for_guided(plan, |_, range| body(range)),
+            ChunkingPolicy::Static => pool.par_for_ranges(n, plane, |_, range| body(range)),
+        }
+        if apr_telemetry::is_enabled() {
+            apr_telemetry::gauge_set(
+                "exec.lattice.collide.utilization",
+                pool.last_run_stats().utilization(),
+            );
+        }
     }
 
+    /// Streaming half for reversed-stored populations: replay the op table
+    /// over the whole domain (every node has collided, so all ops run
+    /// inline). Chunk hand-out follows the view's chunking policy; either
+    /// way the values are slot-local and order-free.
     fn stream(&mut self, view: &mut LatticeView) {
         let Self { table, plan, .. } = self;
-        let threads = apr_exec::current().threads();
-        let plan = costed_plan(table, view.nx * view.ny, plan, threads);
-        stream_replay(view, table, plan);
+        let pool = apr_exec::current();
+        let plane = view.nx * view.ny;
+        let plan = costed_plan(table, plane, plan, pool.threads());
+        let n = view.node_count();
+        let rho: &[f64] = view.rho;
+        let f = UnsafeSlice::new(view.f.as_mut_slice());
+        let grain = stream_grain(view.nz, pool.threads());
+        let body = |range: Range<usize>| replay_range(table, &f, rho, range);
+        match view.chunking {
+            ChunkingPolicy::Guided => pool.par_for_guided(plan, |_, range| body(range)),
+            ChunkingPolicy::Static => pool.par_for_ranges(n, plane * grain, |_, range| body(range)),
+        }
+        if apr_telemetry::is_enabled() {
+            apr_telemetry::gauge_set(
+                "exec.lattice.stream.utilization",
+                pool.last_run_stats().utilization(),
+            );
+            apr_telemetry::gauge_set("lattice.stream.grain", grain as f64);
+        }
     }
 
     /// Fused full step: one pool dispatch for both phases, with the
@@ -553,9 +468,7 @@ impl KernelBackend for FusedSwapKernel {
         let plan = costed_plan(table, view.nx * view.ny, plan, threads);
         let chunking = view.chunking;
         let ctx = FusedCtx::new(view, table);
-        run_fused_step(&ctx, chunking, defer, plan, |ctx, _c, range, pending| {
-            scalar_fused_chunk(ctx, range, pending)
-        });
+        run_fused_step(&ctx, chunking, defer, plan);
     }
 
     fn reversed_between_halves(&self) -> bool {
@@ -566,6 +479,16 @@ impl KernelBackend for FusedSwapKernel {
     /// auxiliary memory, replacing the reference backend's full-size
     /// scratch array.
     fn scratch_bytes(&self) -> usize {
-        fused_scratch_bytes(&self.table, &self.defer, &self.plan)
+        self.table.bytes()
+            + self
+                .defer
+                .iter()
+                .map(|d| d.capacity() * std::mem::size_of::<u64>())
+                .sum::<usize>()
+            + self
+                .plan
+                .as_ref()
+                .map(|(_, p)| (p.chunks() + 1) * std::mem::size_of::<usize>())
+                .unwrap_or(0)
     }
 }

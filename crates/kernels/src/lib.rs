@@ -13,31 +13,26 @@
 //! - [`FusedSwapKernel`]: in-place swap streaming fused with collision
 //!   into a single parallel region — no second distribution array, one
 //!   pool barrier per step instead of two, bit-identical results.
-//! - [`FusedSimdKernel`]: the swap-streaming adjacency with the BGK
-//!   collision vectorized four nodes wide ([`simd`]), bit-identical to
-//!   both of the above.
 //! - [`runtime`]: the unified [`RuntimeConfig`] surface — one typed
-//!   parser for `APR_KERNEL` / `APR_THREADS` / `APR_CHUNKING` /
-//!   `APR_KERNEL_PROBE`, installed process-wide.
+//!   parser for `APR_KERNEL` / `APR_THREADS` / `APR_CHUNKING`, installed
+//!   process-wide.
 //!
-//! Backends implement [`KernelBackend`] and are selected per lattice by
-//! [`KernelKind`], from the installed [`RuntimeConfig`] or the engine
-//! builder.
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
+//! [`FusedSwapKernel`] is the one production kernel; [`ReferenceKernel`]
+//! is the oracle tests compare it against. Both implement
+//! [`KernelBackend`] and are selected per lattice by [`KernelKind`], from
+//! the installed [`RuntimeConfig`] or the engine builder.
 
 pub mod adjacency;
 pub mod d3q19;
 mod fused;
 mod reference;
 pub mod runtime;
-pub mod simd;
 mod view;
 
 pub use adjacency::{neighbor_index, AdjacencyTable, NodeKind};
 pub use fused::FusedSwapKernel;
 pub use reference::ReferenceKernel;
 pub use runtime::{ChunkingPolicy, RuntimeConfig, RuntimeConfigError};
-pub use simd::FusedSimdKernel;
 pub use view::{stream_grain, LatticeView, NodeClass};
 
 /// Selectable kernel backend variants.
@@ -45,11 +40,8 @@ pub use view::{stream_grain, LatticeView, NodeClass};
 pub enum KernelKind {
     /// Two-array collide + pull-stream — the equivalence baseline.
     Reference,
-    /// Fused in-place swap streaming.
+    /// Fused in-place swap streaming — the production default.
     FusedSwap,
-    /// Swap streaming with the collision vectorized 4 nodes wide
-    /// (default when the probe is disabled or when it probes fastest).
-    FusedSimd,
 }
 
 impl KernelKind {
@@ -58,7 +50,6 @@ impl KernelKind {
         match self {
             KernelKind::Reference => "reference",
             KernelKind::FusedSwap => "fused",
-            KernelKind::FusedSimd => "simd",
         }
     }
 
@@ -67,32 +58,13 @@ impl KernelKind {
     /// [`KernelBackend::reversed_between_halves`]). Checkpoint restore
     /// uses this to translate stored mid-step state.
     pub fn reversed_storage(self) -> bool {
-        matches!(self, KernelKind::FusedSwap | KernelKind::FusedSimd)
+        matches!(self, KernelKind::FusedSwap)
     }
 }
 
 impl std::fmt::Display for KernelKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Kernel selection from the `APR_KERNEL` environment variable:
-/// `reference`, `fused`, or `simd` force a variant, `auto`/unset (`None`)
-/// defers to the caller's default (the solver runs a startup micro-probe).
-///
-/// # Panics
-/// Panics on an unrecognized value — a silently ignored typo here would
-/// invalidate a benchmark run.
-#[deprecated(
-    since = "0.2.0",
-    note = "use RuntimeConfig::from_env (typed error instead of panic) or \
-            runtime::env_kernel"
-)]
-pub fn kernel_from_env() -> Option<KernelKind> {
-    match runtime::env_kernel() {
-        Ok(k) => k,
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -142,14 +114,12 @@ mod tests {
     fn kernel_kind_names_round_trip() {
         assert_eq!(KernelKind::Reference.as_str(), "reference");
         assert_eq!(KernelKind::FusedSwap.as_str(), "fused");
-        assert_eq!(KernelKind::FusedSimd.as_str(), "simd");
-        assert_eq!(format!("{}", KernelKind::FusedSimd), "simd");
+        assert_eq!(format!("{}", KernelKind::FusedSwap), "fused");
     }
 
     #[test]
     fn reversed_storage_matches_backend_contract() {
         assert!(!KernelKind::Reference.reversed_storage());
         assert!(KernelKind::FusedSwap.reversed_storage());
-        assert!(KernelKind::FusedSimd.reversed_storage());
     }
 }

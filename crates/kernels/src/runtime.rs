@@ -1,20 +1,19 @@
 //! Unified runtime configuration: one typed front door for everything
 //! that used to be scattered `std::env` reads.
 //!
-//! [`RuntimeConfig`] bundles the four knobs that shape a run — kernel
-//! backend, worker thread count, chunking policy, and whether the kernel
-//! auto-probe may run — and [`RuntimeConfig::from_env`] is the *single*
-//! parser for `APR_KERNEL` / `APR_THREADS` / `APR_CHUNKING` /
-//! `APR_KERNEL_PROBE`, returning a typed [`RuntimeConfigError`] instead of
-//! panicking on a typo. [`RuntimeConfig::install`] applies the parsed
-//! config process-wide: it swaps the global worker pool and records the
-//! kernel/chunking/probe defaults that `apr-lattice` consults when a
-//! solver has no explicit override.
+//! [`RuntimeConfig`] bundles the three knobs that shape a run — kernel
+//! backend, worker thread count and chunking policy — and
+//! [`RuntimeConfig::from_env`] is the *single* parser for `APR_KERNEL` /
+//! `APR_THREADS` / `APR_CHUNKING`, returning a typed
+//! [`RuntimeConfigError`] instead of panicking on a typo.
+//! [`RuntimeConfig::install`] applies the parsed config process-wide: it
+//! swaps the global worker pool and records the kernel/chunking defaults
+//! that `apr-lattice` consults when a solver has no explicit override.
 //!
 //! Lattice-level consumers read the installed state through
-//! [`kernel_override`], [`default_chunking`], and [`probe_enabled`]; when
-//! nothing was installed those fall back to a lenient env read so plain
-//! `APR_KERNEL=fused cargo test` keeps working without any setup call.
+//! [`kernel_override`] and [`default_chunking`]; when nothing was
+//! installed those fall back to a lenient env read so plain
+//! `APR_KERNEL=reference cargo test` keeps working without any setup call.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -53,23 +52,20 @@ impl std::fmt::Display for ChunkingPolicy {
 /// rejected value verbatim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeConfigError {
-    /// `APR_KERNEL` was none of `auto`/`reference`/`fused`/`simd`.
+    /// `APR_KERNEL` was none of `auto`/`reference`/`fused`.
     Kernel(String),
     /// `APR_THREADS` was not a non-negative integer.
     Threads(String),
     /// `APR_CHUNKING` was neither `static` nor `guided`.
     Chunking(String),
-    /// `APR_KERNEL_PROBE` was not a recognised boolean.
-    Probe(String),
 }
 
 impl std::fmt::Display for RuntimeConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeConfigError::Kernel(v) => write!(
-                f,
-                "APR_KERNEL={v:?}: expected auto, reference, fused, or simd"
-            ),
+            RuntimeConfigError::Kernel(v) => {
+                write!(f, "APR_KERNEL={v:?}: expected auto, reference, or fused")
+            }
             RuntimeConfigError::Threads(v) => write!(
                 f,
                 "APR_THREADS={v:?}: expected a non-negative integer (0 = all cores)"
@@ -77,10 +73,6 @@ impl std::fmt::Display for RuntimeConfigError {
             RuntimeConfigError::Chunking(v) => {
                 write!(f, "APR_CHUNKING={v:?}: expected static or guided")
             }
-            RuntimeConfigError::Probe(v) => write!(
-                f,
-                "APR_KERNEL_PROBE={v:?}: expected 1/0, true/false, on/off, or yes/no"
-            ),
         }
     }
 }
@@ -88,54 +80,41 @@ impl std::fmt::Display for RuntimeConfigError {
 impl std::error::Error for RuntimeConfigError {}
 
 /// The typed runtime surface: every knob the engine reads at startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeConfig {
-    /// Kernel backend to force, or `None` to let the selector decide
-    /// (probe when [`RuntimeConfig::probe`] allows it).
+    /// Kernel backend to force, or `None` for the default
+    /// ([`KernelKind::FusedSwap`]).
     pub kernel: Option<KernelKind>,
     /// Worker lanes (`0` = one per available core).
     pub threads: usize,
     /// Chunk hand-out policy for parallel sweeps.
     pub chunking: ChunkingPolicy,
-    /// Whether the kernel auto-probe may time backends on first use when
-    /// no kernel is forced. Off → the selector picks [`KernelKind::FusedSimd`].
-    pub probe: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        Self {
-            kernel: None,
-            threads: 0,
-            chunking: ChunkingPolicy::default(),
-            probe: true,
-        }
-    }
 }
 
 impl RuntimeConfig {
     /// Parse the full runtime environment (`APR_KERNEL`, `APR_THREADS`,
-    /// `APR_CHUNKING`, `APR_KERNEL_PROBE`). Unset variables take their
-    /// defaults; a set-but-malformed variable is a typed error, never a
-    /// panic and never silently ignored.
+    /// `APR_CHUNKING`). Unset variables take their defaults; a
+    /// set-but-malformed variable is a typed error, never a panic and
+    /// never silently ignored.
     pub fn from_env() -> Result<Self, RuntimeConfigError> {
         let get = |k: &str| std::env::var(k).ok();
         Self::parse(
             get("APR_KERNEL").as_deref(),
             get("APR_THREADS").as_deref(),
             get("APR_CHUNKING").as_deref(),
-            get("APR_KERNEL_PROBE").as_deref(),
+            None,
         )
     }
 
     /// The pure parser behind [`RuntimeConfig::from_env`], separated so
     /// tests can exercise it without mutating process env. `None` means
-    /// the variable was unset.
+    /// the variable was unset. The fourth parameter is ignored: it stays
+    /// only because `benchmark/` pins this signature.
     pub fn parse(
         kernel: Option<&str>,
         threads: Option<&str>,
         chunking: Option<&str>,
-        probe: Option<&str>,
+        _probe: Option<&str>,
     ) -> Result<Self, RuntimeConfigError> {
         let mut cfg = Self::default();
         if let Some(v) = kernel {
@@ -152,9 +131,6 @@ impl RuntimeConfig {
         }
         if let Some(v) = chunking {
             cfg.chunking = parse_chunking(v).map_err(RuntimeConfigError::Chunking)?;
-        }
-        if let Some(v) = probe {
-            cfg.probe = parse_bool(v).map_err(RuntimeConfigError::Probe)?;
         }
         Ok(cfg)
     }
@@ -177,21 +153,19 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable / disable the kernel auto-probe (builder style).
-    pub fn with_probe(mut self, probe: bool) -> Self {
-        self.probe = probe;
+    /// Does nothing: it stays only because `benchmark/` pins this call.
+    pub fn with_probe(self, _: bool) -> Self {
         self
     }
 
     /// Apply this config process-wide: swap the global worker pool to
-    /// [`RuntimeConfig::threads`] lanes and record the kernel / chunking /
-    /// probe defaults consulted by lattices without explicit overrides.
+    /// [`RuntimeConfig::threads`] lanes and record the kernel / chunking
+    /// defaults consulted by lattices without explicit overrides.
     /// Later installs fully replace earlier ones.
     pub fn install(&self) {
         apr_exec::set_threads(self.threads);
         KERNEL_OVERRIDE.store(encode_kernel(self.kernel), Ordering::Release);
         CHUNKING.store(encode_chunking(Some(self.chunking)), Ordering::Release);
-        PROBE.store(encode_bool(Some(self.probe)), Ordering::Release);
     }
 }
 
@@ -200,7 +174,6 @@ fn parse_kernel(v: &str) -> Result<Option<KernelKind>, String> {
         "" | "auto" => Ok(None),
         "reference" => Ok(Some(KernelKind::Reference)),
         "fused" => Ok(Some(KernelKind::FusedSwap)),
-        "simd" => Ok(Some(KernelKind::FusedSimd)),
         _ => Err(v.to_string()),
     }
 }
@@ -213,26 +186,16 @@ fn parse_chunking(v: &str) -> Result<ChunkingPolicy, String> {
     }
 }
 
-fn parse_bool(v: &str) -> Result<bool, String> {
-    match v.trim() {
-        "" | "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(v.to_string()),
-    }
-}
-
 // Installed process defaults. Encoding: 0 = not installed (fall back to a
 // lenient env read), otherwise value + 1 in the type's own order.
 static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 static CHUNKING: AtomicU8 = AtomicU8::new(0);
-static PROBE: AtomicU8 = AtomicU8::new(0);
 
 fn encode_kernel(k: Option<KernelKind>) -> u8 {
     match k {
         None => 1, // installed-as-auto still overrides the env
         Some(KernelKind::Reference) => 2,
         Some(KernelKind::FusedSwap) => 3,
-        Some(KernelKind::FusedSimd) => 4,
     }
 }
 
@@ -244,23 +207,14 @@ fn encode_chunking(c: Option<ChunkingPolicy>) -> u8 {
     }
 }
 
-fn encode_bool(b: Option<bool>) -> u8 {
-    match b {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    }
-}
-
 /// The kernel forced by the installed [`RuntimeConfig`], if any.
 /// `None` either means "nothing installed" or "installed as auto" — both
-/// leave the decision to the selector (which then consults
-/// [`env_kernel`] / the probe).
+/// leave the decision to the selector ([`kernel_pinned`] tells them
+/// apart).
 pub fn kernel_override() -> Option<KernelKind> {
     match KERNEL_OVERRIDE.load(Ordering::Acquire) {
         2 => Some(KernelKind::Reference),
         3 => Some(KernelKind::FusedSwap),
-        4 => Some(KernelKind::FusedSimd),
         _ => None,
     }
 }
@@ -287,23 +241,8 @@ pub fn default_chunking() -> ChunkingPolicy {
     }
 }
 
-/// Whether the kernel auto-probe may run: the installed config's flag,
-/// else a lenient `APR_KERNEL_PROBE` read (default on).
-pub fn probe_enabled() -> bool {
-    match PROBE.load(Ordering::Acquire) {
-        1 => false,
-        2 => true,
-        _ => std::env::var("APR_KERNEL_PROBE")
-            .ok()
-            .and_then(|v| parse_bool(&v).ok())
-            .unwrap_or(true),
-    }
-}
-
 /// Non-panicking `APR_KERNEL` read for the selector: `Ok(None)` when
-/// unset or `auto`, a typed error on garbage. The deprecated
-/// [`crate::kernel_from_env`] routes through this and panics on `Err` to
-/// preserve its documented behaviour.
+/// unset or `auto`, a typed error on garbage.
 pub fn env_kernel() -> Result<Option<KernelKind>, RuntimeConfigError> {
     match std::env::var("APR_KERNEL") {
         Ok(v) => parse_kernel(&v).map_err(RuntimeConfigError::Kernel),
@@ -322,7 +261,6 @@ mod tests {
         assert_eq!(cfg.kernel, None);
         assert_eq!(cfg.threads, 0);
         assert_eq!(cfg.chunking, ChunkingPolicy::Guided);
-        assert!(cfg.probe);
     }
 
     #[test]
@@ -332,17 +270,12 @@ mod tests {
             ("", None),
             ("reference", Some(KernelKind::Reference)),
             ("fused", Some(KernelKind::FusedSwap)),
-            ("simd", Some(KernelKind::FusedSimd)),
         ] {
             let cfg = RuntimeConfig::parse(Some(name), None, None, None).unwrap();
             assert_eq!(cfg.kernel, want, "APR_KERNEL={name}");
         }
         // Round trip through the canonical names.
-        for kind in [
-            KernelKind::Reference,
-            KernelKind::FusedSwap,
-            KernelKind::FusedSimd,
-        ] {
+        for kind in [KernelKind::Reference, KernelKind::FusedSwap] {
             let cfg = RuntimeConfig::parse(Some(kind.as_str()), None, None, None).unwrap();
             assert_eq!(cfg.kernel, Some(kind));
         }
@@ -350,10 +283,12 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage_with_typed_errors() {
-        assert_eq!(
-            RuntimeConfig::parse(Some("fast"), None, None, None),
-            Err(RuntimeConfigError::Kernel("fast".into()))
-        );
+        for name in ["fast", "simd"] {
+            assert_eq!(
+                RuntimeConfig::parse(Some(name), None, None, None),
+                Err(RuntimeConfigError::Kernel(name.into()))
+            );
+        }
         assert_eq!(
             RuntimeConfig::parse(None, Some("-3"), None, None),
             Err(RuntimeConfigError::Threads("-3".into()))
@@ -361,10 +296,6 @@ mod tests {
         assert_eq!(
             RuntimeConfig::parse(None, None, Some("dynamic"), None),
             Err(RuntimeConfigError::Chunking("dynamic".into()))
-        );
-        assert_eq!(
-            RuntimeConfig::parse(None, None, None, Some("maybe")),
-            Err(RuntimeConfigError::Probe("maybe".into()))
         );
         // Errors render the offending variable and value.
         let msg = RuntimeConfig::parse(Some("fast"), None, None, None)
@@ -374,28 +305,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_threads_chunking_probe() {
-        let cfg = RuntimeConfig::parse(None, Some("4"), Some("static"), Some("off")).unwrap();
+    fn parse_threads_chunking() {
+        let cfg = RuntimeConfig::parse(None, Some("4"), Some("static"), None).unwrap();
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.chunking, ChunkingPolicy::Static);
-        assert!(!cfg.probe);
-        let cfg = RuntimeConfig::parse(None, Some(" 0 "), Some("guided"), Some("1")).unwrap();
+        let cfg = RuntimeConfig::parse(None, Some(" 0 "), Some("guided"), None).unwrap();
         assert_eq!(cfg.threads, 0);
         assert_eq!(cfg.chunking, ChunkingPolicy::Guided);
-        assert!(cfg.probe);
     }
 
     #[test]
     fn builder_style_setters_compose() {
         let cfg = RuntimeConfig::default()
-            .with_kernel(KernelKind::FusedSimd)
+            .with_kernel(KernelKind::Reference)
             .with_threads(2)
-            .with_chunking(ChunkingPolicy::Static)
-            .with_probe(false);
-        assert_eq!(cfg.kernel, Some(KernelKind::FusedSimd));
+            .with_chunking(ChunkingPolicy::Static);
+        assert_eq!(cfg.kernel, Some(KernelKind::Reference));
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.chunking, ChunkingPolicy::Static);
-        assert!(!cfg.probe);
     }
 
     #[test]

@@ -4,87 +4,28 @@
 //! choice resolves through [`default_kernel`], in priority order:
 //!
 //! 1. the kernel pinned by an installed
-//!    [`RuntimeConfig`](apr_kernels::RuntimeConfig) (including an explicit
-//!    `auto`, which falls through to step 3),
-//! 2. otherwise a lenient `APR_KERNEL` read
-//!    ([`apr_kernels::runtime::env_kernel`]; garbage values panic — a
-//!    silently ignored typo would invalidate a benchmark run),
-//! 3. otherwise, when the probe is enabled
-//!    ([`apr_kernels::runtime::probe_enabled`]), a one-shot startup
-//!    micro-probe that times all three backends on a small periodic box
-//!    and memoizes the fastest; with the probe disabled the default is
-//!    [`KernelKind::FusedSimd`].
+//!    [`RuntimeConfig`](apr_kernels::RuntimeConfig) (an explicit `auto`
+//!    falls through to step 3),
+//! 2. otherwise `APR_KERNEL` ([`apr_kernels::runtime::env_kernel`];
+//!    garbage values panic — a silently ignored typo would invalidate a
+//!    benchmark run),
+//! 3. otherwise [`KernelKind::FusedSwap`], the one production kernel.
 //!
-//! The probe runs once per process (under a `OnceLock`), costs a few
-//! milliseconds, and is deliberately tiny — 12³ nodes — so it measures
-//! kernel overhead structure (passes, barriers, table lookups) rather
-//! than cache capacity.
+//! The result is a constant of the process's configuration, so two
+//! processes on one host always run the same kernel.
 
-use crate::solver::Lattice;
 use apr_kernels::{runtime, KernelKind};
-use std::sync::OnceLock;
-use std::time::Instant;
-
-static PROBED: OnceLock<KernelKind> = OnceLock::new();
 
 /// The process-default kernel: the installed
 /// [`RuntimeConfig`](apr_kernels::RuntimeConfig) override if pinned, else
-/// `APR_KERNEL`, else the (memoized) micro-probe winner — or
-/// [`KernelKind::FusedSimd`] when probing is disabled.
+/// `APR_KERNEL`, else [`KernelKind::FusedSwap`].
 pub fn default_kernel() -> KernelKind {
-    if runtime::kernel_pinned() {
-        if let Some(kind) = runtime::kernel_override() {
-            return kind;
-        }
+    let forced = if runtime::kernel_pinned() {
+        runtime::kernel_override()
     } else {
-        match runtime::env_kernel() {
-            Ok(Some(kind)) => return kind,
-            Ok(None) => {}
-            Err(e) => panic!("{e}"),
-        }
-    }
-    if !runtime::probe_enabled() {
-        return KernelKind::FusedSimd;
-    }
-    *PROBED.get_or_init(probe)
-}
-
-/// Time every backend on a small periodic forced box and return the
-/// fastest. Ties go to the later entrant in the list below —
-/// [`KernelKind::FusedSimd`] over [`KernelKind::FusedSwap`] over
-/// [`KernelKind::Reference`] — which also orders them by memory footprint
-/// (the fused backends carry no second distribution array).
-fn probe() -> KernelKind {
-    let mut best = (KernelKind::Reference, probe_one(KernelKind::Reference));
-    for kind in [KernelKind::FusedSwap, KernelKind::FusedSimd] {
-        let t = probe_one(kind);
-        if t <= best.1 {
-            best = (kind, t);
-        }
-    }
-    best.0
-}
-
-fn probe_one(kind: KernelKind) -> std::time::Duration {
-    const N: usize = 12;
-    let mut lat = Lattice::new(N, N, N, 0.8);
-    lat.periodic = [true; 3];
-    lat.body_force = [1e-6, 0.0, 0.0];
-    // Explicit choice: the probe must not recurse into default_kernel().
-    lat.set_kernel(Some(kind));
-    lat.step(); // warmup: builds the backend outside the timed region
-                // Best of three rounds: the minimum is the least noise-contaminated
-                // estimate of a deterministic kernel's cost.
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..4 {
-                lat.step();
-            }
-            start.elapsed()
-        })
-        .min()
-        .expect("non-empty rounds")
+        runtime::env_kernel().unwrap_or_else(|e| panic!("{e}"))
+    };
+    forced.unwrap_or(KernelKind::FusedSwap)
 }
 
 #[cfg(test)]
@@ -97,14 +38,10 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(default_kernel(), first);
         }
-    }
-
-    #[test]
-    fn probe_picks_one_of_the_probed_kernels() {
-        let k = *PROBED.get_or_init(probe);
-        assert!(matches!(
-            k,
-            KernelKind::Reference | KernelKind::FusedSwap | KernelKind::FusedSimd
-        ));
+        // No test of this crate installs a RuntimeConfig, so with the
+        // variable unset the default is the constant.
+        if std::env::var_os("APR_KERNEL").is_none() {
+            assert_eq!(first, KernelKind::FusedSwap);
+        }
     }
 }

@@ -6,17 +6,15 @@
 //! array-of-structures (19 contiguous values per node); the collide/stream
 //! inner loops live in `apr-kernels`, behind the [`KernelBackend`] trait,
 //! and [`Lattice`] delegates each (half-)step to a selected backend — the
-//! verbatim two-pass [`KernelKind::Reference`] path, the in-place fused
-//! [`KernelKind::FusedSwap`] path, or the vectorized
-//! [`KernelKind::FusedSimd`] path. Every backend runs on the deterministic
-//! `apr-exec` pool and produces bit-identical results for any `APR_THREADS`,
-//! any backend choice, and any [`ChunkingPolicy`].
+//! in-place fused [`KernelKind::FusedSwap`] production path or the verbatim
+//! two-pass [`KernelKind::Reference`] oracle. Both run on the deterministic
+//! `apr-exec` pool and produce bit-identical results for any `APR_THREADS`,
+//! either backend, and any [`ChunkingPolicy`].
 
 use crate::d3q19::{equilibrium_all, lattice_viscosity_from_tau, C, OPPOSITE, Q};
 use crate::kernel_select;
 use apr_kernels::{
-    ChunkingPolicy, FusedSimdKernel, FusedSwapKernel, KernelBackend, KernelKind, LatticeView,
-    ReferenceKernel,
+    ChunkingPolicy, FusedSwapKernel, KernelBackend, KernelKind, LatticeView, ReferenceKernel,
 };
 use std::collections::HashMap;
 
@@ -77,12 +75,7 @@ struct BcEntry {
 enum Backend {
     Reference(ReferenceKernel),
     Fused {
-        kernel: FusedSwapKernel,
-        rev: u64,
-        periodic: [bool; 3],
-    },
-    Simd {
-        kernel: FusedSimdKernel,
+        kernel: Box<FusedSwapKernel>,
         rev: u64,
         periodic: [bool; 3],
     },
@@ -127,7 +120,7 @@ pub struct Lattice {
     /// True between `advance(Collide)` and `advance(Stream)`.
     pending_stream: bool,
     steps_taken: u64,
-    /// Requested kernel; `None` defers to the process-wide probed default.
+    /// Requested kernel; `None` defers to the process-wide default.
     kernel_choice: Option<KernelKind>,
     /// Requested chunking policy; `None` defers to the installed
     /// [`apr_kernels::RuntimeConfig`] (or `APR_CHUNKING`). Never affects
@@ -519,17 +512,6 @@ impl Lattice {
         field[node] = tau;
     }
 
-    /// Neighbour flat index of `(x, y, z)` displaced by `c_i`, respecting
-    /// periodicity; `None` if it leaves a non-periodic domain.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use link_neighbor(node, i) or apr_kernels::neighbor_index"
-    )]
-    #[inline]
-    pub fn neighbor(&self, x: usize, y: usize, z: usize, i: usize) -> Option<usize> {
-        apr_kernels::neighbor_index([self.nx, self.ny, self.nz], self.periodic, x, y, z, i)
-    }
-
     /// Neighbour flat index of `node` displaced by `c_i`, respecting
     /// periodicity; `None` if it leaves a non-periodic domain.
     #[inline]
@@ -543,8 +525,8 @@ impl Lattice {
     // ------------------------------------------------------------------
 
     /// Select the kernel backend: `Some(kind)` forces a variant, `None`
-    /// defers to `APR_KERNEL` / the startup micro-probe. Takes effect on
-    /// the next (half-)step.
+    /// defers to [`kernel_select::default_kernel`]. Takes effect on the
+    /// next (half-)step.
     ///
     /// # Panics
     /// Panics mid-step (between collide and stream): the halves of one step
@@ -657,7 +639,6 @@ impl Lattice {
             None => 0,
             Some(Backend::Reference(k)) => k.scratch_bytes(),
             Some(Backend::Fused { kernel, .. }) => kernel.scratch_bytes(),
-            Some(Backend::Simd { kernel, .. }) => kernel.scratch_bytes(),
         }
     }
 
@@ -710,9 +691,6 @@ impl Lattice {
             (Some(Backend::Fused { rev, periodic, .. }), KernelKind::FusedSwap) => {
                 *rev == self.geometry_rev && *periodic == self.periodic
             }
-            (Some(Backend::Simd { rev, periodic, .. }), KernelKind::FusedSimd) => {
-                *rev == self.geometry_rev && *periodic == self.periodic
-            }
             _ => false,
         };
         if up_to_date {
@@ -724,18 +702,8 @@ impl Lattice {
             KernelKind::FusedSwap => {
                 let rev = self.geometry_rev;
                 let periodic = self.periodic;
-                let kernel = FusedSwapKernel::build(&self.view());
+                let kernel = Box::new(FusedSwapKernel::build(&self.view()));
                 Backend::Fused {
-                    kernel,
-                    rev,
-                    periodic,
-                }
-            }
-            KernelKind::FusedSimd => {
-                let rev = self.geometry_rev;
-                let periodic = self.periodic;
-                let kernel = FusedSimdKernel::build(&self.view());
-                Backend::Simd {
                     kernel,
                     rev,
                     periodic,
@@ -758,8 +726,7 @@ impl Lattice {
             let mut view = self.view();
             match &mut backend {
                 Backend::Reference(k) => op(k, &mut view),
-                Backend::Fused { kernel, .. } => op(kernel, &mut view),
-                Backend::Simd { kernel, .. } => op(kernel, &mut view),
+                Backend::Fused { kernel, .. } => op(kernel.as_mut(), &mut view),
             }
         }
         self.backend = Some(backend);
@@ -773,10 +740,7 @@ impl Lattice {
     /// [`Self::advance`], which stays available on every backend.
     pub fn step(&mut self) {
         self.ensure_backend();
-        let fused = matches!(
-            self.backend,
-            Some(Backend::Fused { .. } | Backend::Simd { .. })
-        );
+        let fused = matches!(self.backend, Some(Backend::Fused { .. }));
         if fused && !self.pending_stream {
             let _span = apr_telemetry::span("lattice.step.fused");
             self.with_backend(|k, view| k.step(view));
@@ -805,7 +769,6 @@ impl Lattice {
                 self.with_backend(|k, view| k.collide(view));
                 self.swap_parity = match &self.backend {
                     Some(Backend::Fused { kernel, .. }) => kernel.reversed_between_halves(),
-                    Some(Backend::Simd { kernel, .. }) => kernel.reversed_between_halves(),
                     _ => false,
                 };
                 self.pending_stream = true;

@@ -5,11 +5,7 @@
 
 use apr_lattice::{force_driven_tube, ChunkingPolicy, KernelKind};
 
-const KERNELS: [KernelKind; 3] = [
-    KernelKind::Reference,
-    KernelKind::FusedSwap,
-    KernelKind::FusedSimd,
-];
+const KERNELS: [KernelKind; 2] = [KernelKind::Reference, KernelKind::FusedSwap];
 const POLICIES: [ChunkingPolicy; 2] = [ChunkingPolicy::Static, ChunkingPolicy::Guided];
 
 #[test]

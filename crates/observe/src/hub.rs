@@ -28,7 +28,11 @@ pub const DEFAULT_SUBSCRIPTION_CAPACITY: usize = 1024;
 /// worker after each slice it grants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressSample {
-    /// Session id.
+    /// Process-unique id of the publishing service. Session ids restart
+    /// at 1 in every service and the hub is process-global, so a consumer
+    /// needs both to tell two services' sessions apart.
+    pub service: u64,
+    /// Session id, unique within its service.
     pub session: u64,
     /// Steps completed so far.
     pub steps_done: u64,
@@ -227,6 +231,7 @@ mod tests {
 
     fn progress(session: u64, steps_done: u64) -> Sample {
         Sample::Progress(ProgressSample {
+            service: 0,
             session,
             steps_done,
             target_steps: 100,

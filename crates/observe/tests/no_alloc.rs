@@ -42,6 +42,7 @@ fn publish_without_subscribers_allocates_nothing() {
     assert_eq!(h.subscriber_count(), 0);
 
     let sample = Sample::Progress(ProgressSample {
+        service: 0,
         session: 1,
         steps_done: 10,
         target_steps: 100,

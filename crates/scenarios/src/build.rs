@@ -2,10 +2,9 @@
 //!
 //! Every geometry×inlet combination maps onto one of three bulk recipes:
 //!
-//! * **Force-driven tube** (`Tube` + `BodyForce`) — the exact
-//!   `apr-serve` `TubeScenario` recipe, byte-for-byte: same generator,
-//!   same window defaults, no fine-geometry callback. Warm blobs built
-//!   here restore into shells built by the legacy type and vice versa.
+//! * **Force-driven tube** (`Tube` + `BodyForce`) — the plain periodic
+//!   tube: `force_driven_tube`, default window anatomy, no fine-geometry
+//!   callback.
 //! * **Closed periodic lumen** (`SideBranch`/`Stenosis`/`Aneurysm` +
 //!   `BodyForce`) — the SDF is voxelized onto a z-periodic lattice and
 //!   flow is driven by a body force. All three SDFs are z-invariant at
@@ -47,9 +46,8 @@ use std::sync::Arc;
 /// Everything `build_bulk` produces beyond the lattice itself.
 struct BulkSetup {
     lattice: Lattice,
-    /// Lumen SDF in coarse coordinates; `None` for the legacy
-    /// force-driven tube (whose fine window is deliberately unflagged for
-    /// `TubeScenario` byte-compatibility).
+    /// Lumen SDF in coarse coordinates; `None` for the force-driven tube
+    /// (whose fine window is deliberately unflagged).
     sdf: Option<Arc<dyn Sdf>>,
     /// Pulsatile inlet restamper.
     driver: Option<BulkDriver>,
@@ -185,7 +183,6 @@ fn womersley_driver(nodes: Vec<InletNode>, u_amp: f64, w: Womersley) -> BulkDriv
 /// spec.
 fn build_bulk(spec: &ScenarioSpec) -> Result<BulkSetup, ScenarioError> {
     let (cx, cy) = domain_axis_center(spec);
-    // The legacy recipe: byte-compatible with apr-serve's TubeScenario.
     if let (GeometrySpec::Tube { radius }, InletSpec::BodyForce { g }) = (spec.geometry, spec.inlet)
     {
         return Ok(BulkSetup {
@@ -340,7 +337,7 @@ fn fine_geometry_for(sdf: Arc<dyn Sdf>, n: usize) -> FineGeometry {
     })
 }
 
-/// The shared RBC insertion recipe (identical to `TubeScenario`'s).
+/// The shared RBC insertion recipe.
 fn insertion_for(spec: &ScenarioSpec) -> (InsertionContext, HematocritController) {
     let radius = 3.0;
     let rbc_mesh = biconcave_rbc_mesh(1, radius);
@@ -546,8 +543,6 @@ mod tests {
 
     #[test]
     fn tube_small_matches_reference_recipe_bytes() {
-        // The ScenarioSpec presets must stay byte-compatible with the
-        // historical TubeScenario recipe: same generator, same defaults.
         let spec = ScenarioSpec::tube_small(3);
         let a = spec.build_cold().unwrap().suspend();
         let b = spec.build_cold().unwrap().suspend();

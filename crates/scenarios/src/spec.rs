@@ -208,14 +208,13 @@ pub struct ScenarioSpec {
     pub warmup_steps: u64,
     /// Execution knobs (kernel, chunking). **Excluded from the hash**:
     /// every kernel and chunking policy is bit-identical by contract, so
-    /// warm blobs are valid across runtimes (test-enforced, as for
-    /// `TubeScenario`).
+    /// warm blobs are valid across runtimes (test-enforced).
     pub runtime: RuntimeConfig,
 }
 
 impl ScenarioSpec {
-    /// The `TubeScenario::small` recipe as a spec: 17×17×24 coarse tube,
-    /// n = 2, 13³ fine window, no cells.
+    /// The small plasma tube: 17×17×24 coarse tube, n = 2, 13³ fine
+    /// window, no cells.
     pub fn tube_small(seed: u64) -> Self {
         Self {
             name: "tube_small".into(),
@@ -239,8 +238,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// The `TubeScenario::cellular` recipe as a spec: 21×21×48 tube with a
-    /// cell-laden window (hematocrit 0.12, n = 3).
+    /// The cellular tube: 21×21×48 tube with a cell-laden window
+    /// (hematocrit 0.12, n = 3).
     pub fn tube_cellular(seed: u64) -> Self {
         Self {
             name: "tube_cellular".into(),
@@ -671,18 +670,12 @@ impl ScenarioSpec {
             "],\"seed\":{},\"warmup_steps\":{},",
             self.seed, self.warmup_steps
         ));
-        let kernel = match self.runtime.kernel {
-            None => "auto",
-            Some(KernelKind::Reference) => "reference",
-            Some(KernelKind::FusedSwap) => "fused",
-            Some(KernelKind::FusedSimd) => "simd",
-        };
+        let kernel = self.runtime.kernel.map_or("auto", KernelKind::as_str);
         out.push_str(&format!(
             "\"runtime\":{{\"kernel\":\"{kernel}\",\"threads\":{},\
-             \"chunking\":\"{}\",\"probe\":{}}}}}",
+             \"chunking\":\"{}\"}}}}",
             self.runtime.threads,
-            self.runtime.chunking.as_str(),
-            self.runtime.probe
+            self.runtime.chunking.as_str()
         ));
         out
     }
@@ -788,7 +781,6 @@ impl ScenarioSpec {
                 "auto" => None,
                 "reference" => Some(KernelKind::Reference),
                 "fused" => Some(KernelKind::FusedSwap),
-                "simd" => Some(KernelKind::FusedSimd),
                 k => return Err(ScenarioError::Json(format!("unknown kernel {k:?}"))),
             };
             let chunking = match str_field(r, "chunking")? {
@@ -796,15 +788,10 @@ impl ScenarioSpec {
                 "guided" => ChunkingPolicy::Guided,
                 c => return Err(ScenarioError::Json(format!("unknown chunking {c:?}"))),
             };
-            let probe = match field(r, "probe")? {
-                Value::Bool(b) => *b,
-                _ => return Err(ScenarioError::Json("probe must be a bool".into())),
-            };
             RuntimeConfig {
                 kernel,
                 threads: num_field(r, "threads")? as usize,
                 chunking,
-                probe,
             }
         };
         let spec = ScenarioSpec {
@@ -976,6 +963,23 @@ mod tests {
         ));
         assert!(matches!(
             ScenarioSpec::from_json("not json at all"),
+            Err(ScenarioError::Json(_))
+        ));
+        // benchmark/workloads/serve_plasma.json, written when the runtime
+        // object still carried "probe": the key is ignored, the spec and
+        // its hash (taken before the key went) are unchanged.
+        let v1 = r#"{"schema":"apr.scenario.v1","name":"serve_plasma","dims":[17,17,24],
+ "geometry":{"kind":"tube","radius":7.0},
+ "inlet":{"kind":"body_force","g":0.000004},
+ "refine":2,"span":6,"tau_c":0.9,"lambda":0.3,"hematocrit":0.0,
+ "windows":[{"origin":[5.0,5.0,4.0],"ctc_radius":0.0}],
+ "seed":0,"warmup_steps":4,
+ "runtime":{"kernel":"auto","threads":0,"chunking":"guided","probe":true}}"#;
+        let spec = ScenarioSpec::from_json(v1).expect("v1 text with \"probe\"");
+        assert_eq!(spec.hash(), 0x46fe_9449_039e_8634);
+        assert_eq!(spec.runtime, RuntimeConfig::default());
+        assert!(matches!(
+            ScenarioSpec::from_json(&v1.replace("\"auto\"", "\"simd\"")),
             Err(ScenarioError::Json(_))
         ));
     }

@@ -28,8 +28,6 @@
 //!
 //! ## Module map
 //!
-//! - [`scenario`] — the deprecated [`TubeScenario`] shim; recipes now
-//!   live in [`apr_scenarios`] ([`ScenarioSpec`], registry, builders).
 //! - [`session`] — [`JobSpec`], [`SessionStatus`], [`SessionStats`],
 //!   [`SessionResult`].
 //! - [`cache`] — [`WarmCache`], the scenario-hash-keyed warm-state cache.
@@ -73,7 +71,6 @@
 
 pub mod cache;
 pub mod metrics;
-pub mod scenario;
 pub mod service;
 pub mod session;
 pub mod store;
@@ -82,8 +79,6 @@ pub use apr_observe::{ProgressSample, Sample, ServiceSample};
 pub use apr_scenarios::{GeometrySpec, InletSpec, ScenarioSpec, WindowSpec};
 pub use cache::WarmCache;
 pub use metrics::ServiceMetrics;
-#[allow(deprecated)]
-pub use scenario::TubeScenario;
 pub use service::{AdmitError, ProgressSubscription, ServeConfig, SimService};
 pub use session::{JobSpec, SessionResult, SessionStats, SessionStatus};
 pub use store::SpillStore;

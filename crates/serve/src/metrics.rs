@@ -37,10 +37,10 @@ pub struct ServiceMetrics {
     pub cache_hit_rate: f64,
     /// Total preemptions across all sessions.
     pub total_preempts: u64,
-    /// Worst gap any session saw between consecutive slice grants,
-    /// measured in grants handed to anyone. Round-robin bounds this by
-    /// the number of concurrently active sessions; starvation shows up
-    /// here as a large value.
+    /// Most grants handed to anyone during one wait of any session in
+    /// the ready queue (see [`SessionStats::max_grant_gap`]). FIFO
+    /// round-robin bounds this by the number of concurrently active
+    /// sessions; starvation shows up here as a large value.
     pub max_grant_gap: u64,
     /// Engine site updates summed over all sessions.
     pub total_site_updates: u64,

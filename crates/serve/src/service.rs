@@ -39,7 +39,7 @@ use apr_guard::FileStore;
 use apr_observe::{hub, ProgressSample, Sample, ServiceSample, Subscription};
 use apr_telemetry::TelemetryEvent;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -138,6 +138,10 @@ struct State {
 }
 
 struct Shared {
+    /// Process-unique id of this service, stamped on every progress
+    /// sample it publishes: the metrics hub is process-global and every
+    /// service numbers its sessions from 1.
+    service_id: u64,
     state: Mutex<State>,
     /// Workers wait here for runnable sessions.
     ready: Condvar,
@@ -163,16 +167,19 @@ fn service_sample(st: &State) -> ServiceSample {
 }
 
 /// A live, filtered view of per-slice session progress from the global
-/// metrics hub. Obtained from [`SimService::subscribe_progress`]; samples
-/// arriving while nobody polls are bounded by the hub's drop-oldest queue.
+/// metrics hub: only samples of the service that created it, narrowed to
+/// one session when asked. Obtained from
+/// [`SimService::subscribe_progress`]; samples arriving while nobody polls
+/// are bounded by the hub's drop-oldest queue.
 pub struct ProgressSubscription {
     inner: Subscription,
+    service: u64,
     session: Option<u64>,
 }
 
 impl ProgressSubscription {
     fn wants(&self, sample: &ProgressSample) -> bool {
-        self.session.is_none_or(|id| sample.session == id)
+        sample.service == self.service && self.session.is_none_or(|id| sample.session == id)
     }
 
     /// Next matching progress sample without blocking.
@@ -228,14 +235,14 @@ impl SimService {
     /// Start the service: spawns `config.workers` scheduler threads
     /// sharing a `workers × lanes_per_worker`-lane budget.
     pub fn start(config: ServeConfig) -> Self {
+        static INSTANCE: AtomicU64 = AtomicU64::new(0);
+        let service_id = INSTANCE.fetch_add(1, Ordering::Relaxed);
         // A finite park cap needs somewhere to spill: a service-private
         // temp directory, removed on shutdown.
         let spill_dir = (config.park_bytes_cap < usize::MAX).then(|| {
-            static INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
             std::env::temp_dir().join(format!(
-                "apr-serve-spill-{}-{}",
-                std::process::id(),
-                INSTANCE.fetch_add(1, Ordering::Relaxed)
+                "apr-serve-spill-{}-{service_id}",
+                std::process::id()
             ))
         });
         let parked = match &spill_dir {
@@ -246,6 +253,7 @@ impl SimService {
             None => SpillStore::unbounded(),
         };
         let shared = Arc::new(Shared {
+            service_id,
             state: Mutex::new(State {
                 next_id: 0,
                 queue: VecDeque::new(),
@@ -317,6 +325,8 @@ impl SimService {
         st.next_id += 1;
         let id = st.next_id;
         let scenario = spec.scenario.hash();
+        let mut stats = SessionStats::new(Instant::now());
+        stats.queued_at_grant = st.grants;
         st.sessions.insert(
             id,
             SessionEntry {
@@ -324,7 +334,7 @@ impl SimService {
                 status: SessionStatus::Queued,
                 steps_done: 0,
                 site_updates: 0,
-                stats: SessionStats::new(Instant::now()),
+                stats,
                 result: None,
             },
         );
@@ -355,28 +365,15 @@ impl SimService {
     /// Subscribe to live per-slice progress. Every scheduler slice
     /// publishes a [`ProgressSample`] (steps done, steps/s, cache-hit,
     /// completion) to the global metrics hub; this returns a bounded
-    /// subscription filtered to `session` when `Some`, or to all sessions
-    /// when `None`. Replaces polling [`Self::progress_snapshot`] for live
-    /// consumers: samples push as slices retire instead of being pulled
-    /// under the scheduler lock.
+    /// subscription to this service's samples, filtered to `session` when
+    /// `Some`, or covering all its sessions when `None`. Samples push as
+    /// slices retire; nothing is pulled under the scheduler lock.
     pub fn subscribe_progress(&self, session: Option<u64>) -> ProgressSubscription {
         ProgressSubscription {
             inner: hub().subscribe(),
+            service: self.shared.service_id,
             session,
         }
-    }
-
-    /// Session steps completed so far, per session — the fairness
-    /// observable (`(id, steps_done, target)` triples, sorted by id).
-    pub fn progress_snapshot(&self) -> Vec<(u64, u64, u64)> {
-        let st = self.shared.state.lock().unwrap();
-        let mut out: Vec<(u64, u64, u64)> = st
-            .sessions
-            .iter()
-            .map(|(&id, e)| (id, e.steps_done, e.spec.target_steps))
-            .collect();
-        out.sort_unstable();
-        out
     }
 
     /// Scheduler bookkeeping for one session (`None` for unknown ids).
@@ -479,6 +476,7 @@ struct SliceOutcome {
 /// Build the per-slice progress sample published to the metrics hub.
 /// Called under the state lock with the just-updated session entry.
 fn progress_sample(
+    service: u64,
     id: u64,
     entry: &SessionEntry,
     stepped: u64,
@@ -486,6 +484,7 @@ fn progress_sample(
     completed: bool,
 ) -> ProgressSample {
     ProgressSample {
+        service,
         session: id,
         steps_done: entry.steps_done,
         target_steps: entry.spec.target_steps,
@@ -497,6 +496,7 @@ fn progress_sample(
 }
 
 fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfig) {
+    let service = shared.service_id;
     loop {
         let mut st = shared.state.lock().unwrap();
         let id = loop {
@@ -516,11 +516,10 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
             .expect("parked checkpoint retrieval failed");
         let entry = st.sessions.get_mut(&id).expect("queued session exists");
         entry.status = SessionStatus::Running;
-        if entry.stats.last_grant != 0 {
-            let gap = grant - entry.stats.last_grant;
-            entry.stats.max_grant_gap = entry.stats.max_grant_gap.max(gap);
-        }
-        entry.stats.last_grant = grant;
+        // Grants are counted and sessions popped under this one lock, so
+        // the gap is exactly 1 + the sessions that were ahead in the queue.
+        let gap = grant - entry.stats.queued_at_grant;
+        entry.stats.max_grant_gap = entry.stats.max_grant_gap.max(gap);
         entry.stats.resumes += 1;
         let spec = entry.spec.clone();
         let steps_done = entry.steps_done;
@@ -544,6 +543,7 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
         drop(lease);
 
         let mut st = shared.state.lock().unwrap();
+        let grants = st.grants;
         let entry = st.sessions.get_mut(&id).expect("running session exists");
         match slice {
             Ok(out) => {
@@ -570,7 +570,8 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                         preempts: entry.stats.preempts,
                         error: None,
                     });
-                    let progress = progress_sample(id, entry, out.stepped, out.step_ns, true);
+                    let progress =
+                        progress_sample(service, id, entry, out.stepped, out.step_ns, true);
                     st.inflight -= 1;
                     let svc = service_sample(&st);
                     drop(st);
@@ -580,7 +581,9 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                 } else {
                     entry.stats.preempts += 1;
                     entry.status = SessionStatus::Queued;
-                    let progress = progress_sample(id, entry, out.stepped, out.step_ns, false);
+                    entry.stats.queued_at_grant = grants;
+                    let progress =
+                        progress_sample(service, id, entry, out.stepped, out.step_ns, false);
                     let blob = out.parked.expect("preempted slice parks a checkpoint");
                     st.parked
                         .put(&park_key(id), blob)
@@ -610,7 +613,7 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                     preempts: entry.stats.preempts,
                     error: Some(message),
                 });
-                let progress = progress_sample(id, entry, 0, 1, true);
+                let progress = progress_sample(service, id, entry, 0, 1, true);
                 st.inflight -= 1;
                 let svc = service_sample(&st);
                 drop(st);

@@ -42,11 +42,14 @@ pub struct SessionStats {
     pub preempts: u64,
     /// Did setup hit the warm cache? `None` until the first slice ran.
     pub cache_hit: Option<bool>,
-    /// Global grant-counter value at this session's last grant.
-    pub last_grant: u64,
-    /// Largest gap between this session's consecutive grants, in grants
-    /// handed to *anyone*. Round-robin bounds this by the number of active
-    /// sessions; a starved session shows up as a large gap.
+    /// Global grant-counter value when this session last entered the
+    /// ready queue (admission or re-queue after a preempt).
+    pub queued_at_grant: u64,
+    /// Most grants handed to *anyone*, its own included, during one of
+    /// this session's waits in the ready queue. The queue is FIFO, so this
+    /// is 1 + the sessions ahead of it at most: never more than the
+    /// number of active sessions. A starved session shows up as a large
+    /// value.
     pub max_grant_gap: u64,
     /// Nanoseconds spent stepping the engine.
     pub step_ns: u64,
@@ -68,7 +71,7 @@ impl SessionStats {
             resumes: 0,
             preempts: 0,
             cache_hit: None,
-            last_grant: 0,
+            queued_at_grant: 0,
             max_grant_gap: 0,
             step_ns: 0,
             suspend_ns: 0,

@@ -6,8 +6,8 @@
 //! session of each spec starts from the warm-state cache. Progress is
 //! **streamed** while the scheduler runs: the demo subscribes to the
 //! observability hub before submitting, and every retired slice pushes a
-//! live sample (steps done, steps/s, cache temperature) — no polling of
-//! `progress_snapshot` under the scheduler lock. After the stream drains,
+//! live sample (steps done, steps/s, cache temperature) — nothing polls
+//! under the scheduler lock. After the stream drains,
 //! it prints per-session outcomes and the service-level metrics, and
 //! verifies that sessions with identical specs finished bit-identically.
 //!

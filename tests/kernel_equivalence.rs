@@ -1,8 +1,8 @@
-//! Kernel-engine equivalence: the fused swap-streaming kernel and the
-//! SIMD fused kernel must be **bit-identical** to the reference two-pass
-//! kernel on every boundary type, at every thread count, under either
-//! chunking policy, across checkpoint/restore — and they must actually
-//! eliminate the second distribution array they exist to remove.
+//! Kernel-engine equivalence: the fused swap-streaming kernel must be
+//! **bit-identical** to the reference two-pass kernel on every boundary
+//! type, at every thread count, under either chunking policy, across
+//! checkpoint/restore — and it must actually eliminate the second
+//! distribution array it exists to remove.
 //!
 //! The worker pool is process-global, so every test that swaps it holds
 //! `POOL_LOCK` (same discipline as `exec_determinism.rs`).
@@ -97,7 +97,6 @@ fn fused_matches_reference_on_every_boundary_type_and_thread_count() {
             apr_suite::exec::set_threads(threads);
             for kind in [
                 KernelKind::FusedSwap,
-                KernelKind::FusedSimd,
                 // The reference kernel itself must also be thread-invariant.
                 KernelKind::Reference,
             ] {
@@ -117,22 +116,19 @@ fn split_halves_match_fused_full_steps() {
     let _guard = POOL_LOCK.lock().unwrap();
     apr_suite::exec::set_threads(2);
     for (name, lat) in scenarios() {
-        for kind in [KernelKind::FusedSwap, KernelKind::FusedSimd] {
-            let mut whole = lat.clone();
-            whole.set_kernel(Some(kind));
-            let mut halves = lat.clone();
-            halves.set_kernel(Some(kind));
-            for _ in 0..20 {
-                whole.step();
-                halves.advance(SubStep::Collide);
-                halves.advance(SubStep::Stream);
-            }
-            assert_eq!(
-                digest(&whole),
-                digest(&halves),
-                "split-half {kind:?} run diverged from step(): scenario {name}"
-            );
+        let mut whole = lat.clone();
+        whole.set_kernel(Some(KernelKind::FusedSwap));
+        let mut halves = whole.clone();
+        for _ in 0..20 {
+            whole.step();
+            halves.advance(SubStep::Collide);
+            halves.advance(SubStep::Stream);
         }
+        assert_eq!(
+            digest(&whole),
+            digest(&halves),
+            "split-half run diverged from step(): scenario {name}"
+        );
     }
     apr_suite::exec::set_threads(1);
 }
@@ -145,37 +141,35 @@ fn mid_step_accessors_agree_across_kernels() {
     let _guard = POOL_LOCK.lock().unwrap();
     apr_suite::exec::set_threads(2);
     let (_, lat) = scenarios().remove(1); // couette: has a moving wall
-    for kind in [KernelKind::FusedSwap, KernelKind::FusedSimd] {
-        let mut a = lat.clone();
-        a.set_kernel(Some(KernelKind::Reference));
-        let mut b = lat.clone();
-        b.set_kernel(Some(kind));
-        for l in [&mut a, &mut b] {
-            for _ in 0..10 {
-                l.step();
-            }
-            l.advance(SubStep::Collide);
+    let mut a = lat.clone();
+    a.set_kernel(Some(KernelKind::Reference));
+    let mut b = lat.clone();
+    b.set_kernel(Some(KernelKind::FusedSwap));
+    for l in [&mut a, &mut b] {
+        for _ in 0..10 {
+            l.step();
         }
-        assert!(!a.swap_parity() && b.swap_parity());
-        for node in 0..a.node_count() {
-            for i in 0..Q {
-                assert_eq!(
-                    a.distribution(node, i).to_bits(),
-                    b.distribution(node, i).to_bits(),
-                    "post-collision mismatch at node {node} dir {i} ({kind:?})"
-                );
-            }
-            let (ra, ua) = a.moments_at(node);
-            let (rb, ub) = b.moments_at(node);
+        l.advance(SubStep::Collide);
+    }
+    assert!(!a.swap_parity() && b.swap_parity());
+    for node in 0..a.node_count() {
+        for i in 0..Q {
             assert_eq!(
-                (ra.to_bits(), ua.map(f64::to_bits)),
-                (rb.to_bits(), ub.map(f64::to_bits))
+                a.distribution(node, i).to_bits(),
+                b.distribution(node, i).to_bits(),
+                "post-collision mismatch at node {node} dir {i}"
             );
         }
-        a.advance(SubStep::Stream);
-        b.advance(SubStep::Stream);
-        assert_eq!(digest(&a), digest(&b));
+        let (ra, ua) = a.moments_at(node);
+        let (rb, ub) = b.moments_at(node);
+        assert_eq!(
+            (ra.to_bits(), ua.map(f64::to_bits)),
+            (rb.to_bits(), ub.map(f64::to_bits))
+        );
     }
+    a.advance(SubStep::Stream);
+    b.advance(SubStep::Stream);
+    assert_eq!(digest(&a), digest(&b));
     apr_suite::exec::set_threads(1);
 }
 
@@ -233,18 +227,16 @@ fn fused_kernel_eliminates_the_second_distribution_array() {
     lat.body_force = [1e-7, 0.0, 0.0];
     let second_array = lat.node_count() * Q * std::mem::size_of::<f64>();
 
-    for kind in [KernelKind::FusedSwap, KernelKind::FusedSimd] {
-        let mut fused = lat.clone();
-        fused.set_kernel(Some(kind));
-        fused.step();
-        assert!(fused.kernel_scratch_bytes() > 0);
-        assert!(
-            fused.kernel_scratch_bytes() < second_array,
-            "{kind:?} scratch {} B >= second distribution array {} B",
-            fused.kernel_scratch_bytes(),
-            second_array
-        );
-    }
+    let mut fused = lat.clone();
+    fused.set_kernel(Some(KernelKind::FusedSwap));
+    fused.step();
+    assert!(fused.kernel_scratch_bytes() > 0);
+    assert!(
+        fused.kernel_scratch_bytes() < second_array,
+        "fused scratch {} B >= second distribution array {} B",
+        fused.kernel_scratch_bytes(),
+        second_array
+    );
 
     lat.set_kernel(Some(KernelKind::Reference));
     lat.step();
@@ -267,11 +259,9 @@ fn geometry_changes_rebuild_the_fused_stencil() {
     base.body_force = [1e-6, 0.0, 0.0];
     let mut a = base.clone();
     a.set_kernel(Some(KernelKind::Reference));
-    let mut b = base.clone();
+    let mut b = base;
     b.set_kernel(Some(KernelKind::FusedSwap));
-    let mut c = base;
-    c.set_kernel(Some(KernelKind::FusedSimd));
-    for l in [&mut a, &mut b, &mut c] {
+    for l in [&mut a, &mut b] {
         for _ in 0..10 {
             l.step();
         }
@@ -287,34 +277,32 @@ fn geometry_changes_rebuild_the_fused_stencil() {
         }
     }
     assert_eq!(digest(&a), digest(&b), "post-edit trajectories diverged");
-    assert_eq!(digest(&a), digest(&c), "post-edit SIMD trajectory diverged");
     apr_suite::exec::set_threads(1);
 }
 
 /// Chunking is an execution knob, not a physics knob: guided and static
-/// hand-out produce bit-identical trajectories for both fused kernels at
+/// hand-out produce bit-identical trajectories for the fused kernel at
 /// every thread count.
 #[test]
 fn chunking_policy_never_changes_results() {
     use apr_suite::lattice::ChunkingPolicy;
     let _guard = POOL_LOCK.lock().unwrap();
     for (name, lat) in scenarios() {
-        for kind in [KernelKind::FusedSwap, KernelKind::FusedSimd] {
-            apr_suite::exec::set_threads(1);
-            let mut golden = lat.clone();
-            golden.set_chunking(Some(ChunkingPolicy::Static));
-            let golden = run(golden, kind, 50);
-            for threads in [2usize, 4, 8] {
-                apr_suite::exec::set_threads(threads);
-                for policy in [ChunkingPolicy::Guided, ChunkingPolicy::Static] {
-                    let mut trial = lat.clone();
-                    trial.set_chunking(Some(policy));
-                    assert_eq!(
-                        golden,
-                        run(trial, kind, 50),
-                        "{kind:?}/{policy:?} diverged: scenario {name}, {threads} threads"
-                    );
-                }
+        let kind = KernelKind::FusedSwap;
+        apr_suite::exec::set_threads(1);
+        let mut golden = lat.clone();
+        golden.set_chunking(Some(ChunkingPolicy::Static));
+        let golden = run(golden, kind, 50);
+        for threads in [2usize, 4, 8] {
+            apr_suite::exec::set_threads(threads);
+            for policy in [ChunkingPolicy::Guided, ChunkingPolicy::Static] {
+                let mut trial = lat.clone();
+                trial.set_chunking(Some(policy));
+                assert_eq!(
+                    golden,
+                    run(trial, kind, 50),
+                    "{kind:?}/{policy:?} diverged: scenario {name}, {threads} threads"
+                );
             }
         }
     }
