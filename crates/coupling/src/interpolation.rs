@@ -47,17 +47,10 @@ pub fn interpolate_distributions(lat: &Lattice, x: f64, y: f64, z: f64) -> [f64;
     out
 }
 
-/// Density and velocity moments of a distribution set.
+/// Density and velocity moments of a distribution set (the lattice's one
+/// moment kernel, divided through by the density).
 pub fn moments(f: &[f64; Q]) -> (f64, [f64; 3]) {
-    use apr_lattice::C;
-    let mut rho = 0.0;
-    let mut m = [0.0f64; 3];
-    for i in 0..Q {
-        rho += f[i];
-        m[0] += f[i] * C[i][0] as f64;
-        m[1] += f[i] * C[i][1] as f64;
-        m[2] += f[i] * C[i][2] as f64;
-    }
+    let (rho, m) = apr_lattice::d3q19::moments(f);
     (rho, [m[0] / rho, m[1] / rho, m[2] / rho])
 }
 

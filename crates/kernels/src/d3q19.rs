@@ -3,6 +3,11 @@
 //! Nineteen discrete velocities: the rest particle, six axis neighbours and
 //! twelve edge diagonals, with the standard weights 1/3, 1/18 and 1/36 and
 //! lattice speed of sound `c_s² = 1/3`.
+//!
+//! [`moments`], [`equilibrium_all`] and [`guo_force_all`] are the per-node
+//! arithmetic of every step path, unrolled over the directions. Each keeps
+//! the bits of the generic loop over [`C`] it replaced; the association
+//! rules that guarantee it are DESIGN.md §11's arithmetic contract.
 
 /// Number of discrete velocities.
 pub const Q: usize = 19;
@@ -77,33 +82,117 @@ pub fn equilibrium(i: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
     W[i] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 }
 
-/// All 19 equilibrium populations at once.
+/// Density and momentum `(ρ, Σ_i f_i c_i)` of one node's populations.
+///
+/// Direction-unrolled, adds and subtracts only. `ρ` is the left-to-right
+/// sum `((0 + f0) + f1) + … + f18`; each momentum component is the
+/// left-to-right sum over `i` of `f_i·c_iα` with the zero-component terms
+/// dropped and `·(±1)` written as `+`/`−` — the same bits as the generic
+/// loop over [`C`], because `x·(±1)` is exact and adding `±0` to a partial
+/// sum that started at `+0` never changes it (DESIGN.md §11).
 #[inline]
-pub fn equilibrium_all(rho: f64, ux: f64, uy: f64, uz: f64) -> [f64; Q] {
-    let mut out = [0.0; Q];
-    let usq = 1.5 * (ux * ux + uy * uy + uz * uz);
-    for i in 0..Q {
-        let cu = C[i][0] as f64 * ux + C[i][1] as f64 * uy + C[i][2] as f64 * uz;
-        out[i] = W[i] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - usq);
-    }
-    out
+pub fn moments(f: &[f64; Q]) -> (f64, [f64; 3]) {
+    let rho = 0.0
+        + f[0]
+        + f[1]
+        + f[2]
+        + f[3]
+        + f[4]
+        + f[5]
+        + f[6]
+        + f[7]
+        + f[8]
+        + f[9]
+        + f[10]
+        + f[11]
+        + f[12]
+        + f[13]
+        + f[14]
+        + f[15]
+        + f[16]
+        + f[17]
+        + f[18];
+    let mx = 0.0 + f[1] - f[2] + f[7] - f[8] + f[9] - f[10] + f[11] - f[12] + f[13] - f[14];
+    let my = 0.0 + f[3] - f[4] + f[7] - f[8] - f[9] + f[10] + f[15] - f[16] + f[17] - f[18];
+    let mz = 0.0 + f[5] - f[6] + f[11] - f[12] - f[13] + f[14] + f[15] - f[16] - f[17] + f[18];
+    (rho, [mx, my, mz])
 }
 
-/// Guo forcing term `F_i` for body-force density `(gx, gy, gz)` acting on a
-/// node with velocity `(ux, uy, uz)` (Guo, Zheng & Shi 2002):
+/// All 19 equilibrium populations at once, one opposite pair `(p, p+1)` at
+/// a time.
+///
+/// `c·u` of a pair is the single component or the two-term sum/difference
+/// the generic `(c_x u_x + c_y u_y) + c_z u_z` reduces to, and the opposite
+/// direction's is its exact negation, so `3 c·u` and `4.5 (c·u)²` are
+/// computed once per pair. The association of every stored value is the
+/// generic loop's: `(w ρ)·(((1 ± 3cu) + 4.5cu·cu) − 1.5u²)`.
+#[inline]
+pub fn equilibrium_all(rho: f64, ux: f64, uy: f64, uz: f64) -> [f64; Q] {
+    let usq = 1.5 * (ux * ux + uy * uy + uz * uz);
+    let pair = |w_rho: f64, cu: f64| {
+        let t3 = 3.0 * cu;
+        let t45 = 4.5 * cu * cu;
+        [
+            w_rho * (1.0 + t3 + t45 - usq),
+            w_rho * (1.0 - t3 + t45 - usq),
+        ]
+    };
+    let axis = W[1] * rho;
+    let diag = W[7] * rho;
+    let [f1, f2] = pair(axis, ux);
+    let [f3, f4] = pair(axis, uy);
+    let [f5, f6] = pair(axis, uz);
+    let [f7, f8] = pair(diag, ux + uy);
+    let [f9, f10] = pair(diag, ux - uy);
+    let [f11, f12] = pair(diag, ux + uz);
+    let [f13, f14] = pair(diag, ux - uz);
+    let [f15, f16] = pair(diag, uy + uz);
+    let [f17, f18] = pair(diag, uy - uz);
+    let f0 = W[0] * rho * (1.0 - usq);
+    [
+        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15, f16, f17, f18,
+    ]
+}
+
+/// Guo forcing terms `F_i` of all 19 directions for body-force density
+/// `(gx, gy, gz)` acting on a node with velocity `(ux, uy, uz)` (Guo, Zheng
+/// & Shi 2002):
 ///
 /// `F_i = w_i [ 3(c−u) + 9(c·u)c ] · g`.
 ///
 /// The collision applies `(1 − 1/(2τ)) F_i` and the macroscopic velocity
 /// gains `g/(2ρ)`.
+///
+/// Built from the nine products `(c − u_α) g_α`, `c ∈ {1, 0, −1}`; a
+/// direction picks one per axis and sums them in axis order, and an
+/// opposite pair shares `(9 c·u)(c·g)` (both factors flip sign). Every
+/// value keeps the generic per-direction association
+/// `w·(3·((a_x + a_y) + a_z) + (9 cu)·cg)`.
 #[inline]
-pub fn guo_force_term(i: usize, ux: f64, uy: f64, uz: f64, gx: f64, gy: f64, gz: f64) -> f64 {
-    let cx = C[i][0] as f64;
-    let cy = C[i][1] as f64;
-    let cz = C[i][2] as f64;
-    let cu = cx * ux + cy * uy + cz * uz;
-    W[i] * (3.0 * ((cx - ux) * gx + (cy - uy) * gy + (cz - uz) * gz)
-        + 9.0 * cu * (cx * gx + cy * gy + cz * gz))
+pub fn guo_force_all(ux: f64, uy: f64, uz: f64, gx: f64, gy: f64, gz: f64) -> [f64; Q] {
+    // (c − u_α)·g_α for c = +1, 0, −1. `0.0 − u`, not `−u`: they differ in
+    // the sign of zero at u = 0.
+    let (xp, x0, xm) = ((1.0 - ux) * gx, (0.0 - ux) * gx, (-1.0 - ux) * gx);
+    let (yp, y0, ym) = ((1.0 - uy) * gy, (0.0 - uy) * gy, (-1.0 - uy) * gy);
+    let (zp, z0, zm) = ((1.0 - uz) * gz, (0.0 - uz) * gz, (-1.0 - uz) * gz);
+    let pair = |w: f64, a: f64, a_opp: f64, cu: f64, cg: f64| {
+        let b = 9.0 * cu * cg;
+        [w * (3.0 * a + b), w * (3.0 * a_opp + b)]
+    };
+    let (axis, diag) = (W[1], W[7]);
+    let [f1, f2] = pair(axis, xp + y0 + z0, xm + y0 + z0, ux, gx);
+    let [f3, f4] = pair(axis, x0 + yp + z0, x0 + ym + z0, uy, gy);
+    let [f5, f6] = pair(axis, x0 + y0 + zp, x0 + y0 + zm, uz, gz);
+    let [f7, f8] = pair(diag, xp + yp + z0, xm + ym + z0, ux + uy, gx + gy);
+    let [f9, f10] = pair(diag, xp + ym + z0, xm + yp + z0, ux - uy, gx - gy);
+    let [f11, f12] = pair(diag, xp + y0 + zp, xm + y0 + zm, ux + uz, gx + gz);
+    let [f13, f14] = pair(diag, xp + y0 + zm, xm + y0 + zp, ux - uz, gx - gz);
+    let [f15, f16] = pair(diag, x0 + yp + zp, x0 + ym + zm, uy + uz, gy + gz);
+    let [f17, f18] = pair(diag, x0 + yp + zm, x0 + ym + zp, uy - uz, gy - gz);
+    let f0 = W[0] * (3.0 * (x0 + y0 + z0));
+    [
+        f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15, f16, f17, f18,
+    ]
 }
 
 /// Relaxation time for a lattice kinematic viscosity: `τ = ν/c_s² + 1/2`.
@@ -212,10 +301,11 @@ mod tests {
     fn guo_force_moments() {
         // Σ F_i = 0 and Σ F_i c_i = g at u = 0 (first-order force moments).
         let g = [1e-5, -2e-5, 3e-5];
+        let force = guo_force_all(0.0, 0.0, 0.0, g[0], g[1], g[2]);
         let mut sum = 0.0;
         let mut mom = [0.0; 3];
         for i in 0..Q {
-            let fi = guo_force_term(i, 0.0, 0.0, 0.0, g[0], g[1], g[2]);
+            let fi = force[i];
             sum += fi;
             for a in 0..3 {
                 mom[a] += fi * C[i][a] as f64;

@@ -65,7 +65,7 @@ use crate::adjacency::{
     TAG_SHIFT, TAG_SWAP,
 };
 use crate::d3q19::{OPPOSITE, Q};
-use crate::reference::{bgk_post_collision, tau_at};
+use crate::reference::{array, bgk_post_collision, tau_at};
 use crate::view::{stream_grain, LatticeView};
 use crate::{ChunkingPolicy, KernelBackend, KernelKind};
 use apr_exec::{ChunkPlan, GuidedScheduler, UnsafeSlice};
@@ -131,7 +131,7 @@ unsafe fn collide_node_reversed(ctx: &FusedCtx, node: usize) -> f64 {
     let vel = ctx.vel.slice_mut(node * 3, 3);
     let g = &ctx.force[node * 3..node * 3 + 3];
     let tau = tau_at(ctx.tau_field, ctx.global_tau, node);
-    let (r, u, post) = bgk_post_collision(fs, g, ctx.bf, tau);
+    let (r, u, post) = bgk_post_collision(array(fs), array(g), ctx.bf, tau);
     *rho = r;
     vel.copy_from_slice(&u);
     for i in 0..Q {

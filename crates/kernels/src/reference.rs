@@ -1,6 +1,8 @@
 //! The reference two-pass kernel: the solver's original collide and
 //! pull-stream loops, kept verbatim so every other backend can be
-//! equivalence-tested against it bit-for-bit.
+//! equivalence-tested against it bit-for-bit. The per-node collision
+//! arithmetic is [`bgk_post_collision`], which the fused kernel shares; its
+//! own oracle is `tests/collision_equivalence.rs`.
 //!
 //! Two deliberate fixes ride along without changing any produced value:
 //! the moving-wall lookup is skipped wholesale when the lattice has no
@@ -9,32 +11,26 @@
 //! one z-slab per chunk (the chunk layout never affects the numbers — every
 //! write is slot-local).
 
-use crate::d3q19::{equilibrium_all, guo_force_term, C, OPPOSITE, Q, W};
+use crate::d3q19::{equilibrium_all, guo_force_all, moments, C, OPPOSITE, Q, W};
 use crate::view::{stream_grain, LatticeView, NodeClass};
 use crate::{KernelBackend, KernelKind};
 use apr_exec::UnsafeSlice;
 
 /// BGK collision with Guo forcing at one node: returns the density, the
 /// (half-force corrected) velocity, and the 19 post-collision populations.
-/// This is the exact arithmetic of the original `Lattice::collide` body —
-/// both backends route through it so "bit-identical" holds by construction.
+/// Composed from the three direction-unrolled [`crate::d3q19`] primitives,
+/// which fix every bit of the result (DESIGN.md §11); both backends route
+/// through it so "bit-identical" holds by construction.
 #[inline]
 pub(crate) fn bgk_post_collision(
-    fs: &[f64],
-    g: &[f64],
+    fs: &[f64; Q],
+    g: &[f64; 3],
     bf: [f64; 3],
     tau: f64,
 ) -> (f64, [f64; 3], [f64; Q]) {
     let omega = 1.0 / tau;
     let force_scale = 1.0 - 0.5 * omega;
-    let mut r = 0.0;
-    let mut m = [0.0f64; 3];
-    for i in 0..Q {
-        r += fs[i];
-        m[0] += fs[i] * C[i][0] as f64;
-        m[1] += fs[i] * C[i][1] as f64;
-        m[2] += fs[i] * C[i][2] as f64;
-    }
+    let (r, m) = moments(fs);
     let gx = g[0] + bf[0];
     let gy = g[1] + bf[1];
     let gz = g[2] + bf[2];
@@ -42,12 +38,19 @@ pub(crate) fn bgk_post_collision(
     let uy = (m[1] + 0.5 * gy) / r;
     let uz = (m[2] + 0.5 * gz) / r;
     let feq = equilibrium_all(r, ux, uy, uz);
+    let forcing = guo_force_all(ux, uy, uz, gx, gy, gz);
     let mut post = [0.0; Q];
     for i in 0..Q {
-        let forcing = guo_force_term(i, ux, uy, uz, gx, gy, gz);
-        post[i] = fs[i] + (omega * (feq[i] - fs[i]) + force_scale * forcing);
+        post[i] = fs[i] + (omega * (feq[i] - fs[i]) + force_scale * forcing[i]);
     }
     (r, [ux, uy, uz], post)
+}
+
+/// A slice the caller cut to `N` values — one node's populations or force
+/// — as the fixed-size array the unrolled primitives take.
+#[inline]
+pub(crate) fn array<const N: usize>(s: &[f64]) -> &[f64; N] {
+    s.try_into().expect("slice cut to the array's length")
 }
 
 /// Relaxation time at `node` under an optional per-node τ field.
@@ -107,7 +110,7 @@ impl KernelBackend for ReferenceKernel {
                 let vel = unsafe { vel.slice_mut(node * 3, 3) };
                 let g = &force[node * 3..node * 3 + 3];
                 let tau = tau_at(tau_field, global_tau, node);
-                let (r, u, post) = bgk_post_collision(fs, g, bf, tau);
+                let (r, u, post) = bgk_post_collision(array(fs), array(g), bf, tau);
                 *rho = r;
                 vel.copy_from_slice(&u);
                 fs.copy_from_slice(&post);

@@ -11,7 +11,7 @@
 //! `apr-exec` pool and produce bit-identical results for any `APR_THREADS`,
 //! either backend, and any [`ChunkingPolicy`].
 
-use crate::d3q19::{equilibrium_all, lattice_viscosity_from_tau, C, OPPOSITE, Q};
+use crate::d3q19::{equilibrium_all, lattice_viscosity_from_tau, moments, OPPOSITE, Q};
 use crate::kernel_select;
 use apr_kernels::{
     ChunkingPolicy, FusedSwapKernel, KernelBackend, KernelKind, LatticeView, ReferenceKernel,
@@ -385,18 +385,28 @@ impl Lattice {
         }
     }
 
+    /// Density and momentum of the current distributions at `node` through
+    /// the one moment kernel ([`moments`]). Reversed fluid storage is
+    /// gathered into direction order first: summing the raw reversed slots
+    /// and negating the momentum reassociates both sums, and the accessors
+    /// promise the same bits in either parity. The gather is the cold
+    /// path — outside a split step every node is in direction order.
+    #[inline]
+    fn node_moments(&self, node: usize) -> (f64, [f64; 3]) {
+        let stored: &[f64; Q] = self.f[node * Q..node * Q + Q]
+            .try_into()
+            .expect("slice cut to Q populations");
+        if self.swap_parity && self.flags[node] == NodeClass::Fluid {
+            moments(&std::array::from_fn(|i| stored[OPPOSITE[i]]))
+        } else {
+            moments(stored)
+        }
+    }
+
     /// Density and velocity computed directly from the current
     /// distributions at `node` (no force correction).
     pub fn moments_at(&self, node: usize) -> (f64, [f64; 3]) {
-        let mut rho = 0.0;
-        let mut m = [0.0; 3];
-        for (i, c) in C.iter().enumerate() {
-            let fi = self.f[self.slot(node, i)];
-            rho += fi;
-            m[0] += fi * c[0] as f64;
-            m[1] += fi * c[1] as f64;
-            m[2] += fi * c[2] as f64;
-        }
+        let (rho, m) = self.node_moments(node);
         (rho, [m[0] / rho, m[1] / rho, m[2] / rho])
     }
 
@@ -434,11 +444,15 @@ impl Lattice {
 
     /// Total mass and momentum (`Σ_i f_i c_i`) over all fluid nodes, plus
     /// the fluid-node count — the per-step sample the conservation ledger
-    /// accumulates. Reduced on the exec pool through its fixed-shape
-    /// ordered tree ([`apr_exec::ExecPool::par_sum4`]), so the totals are
-    /// bit-identical across thread counts; direction access goes through
-    /// the parity-aware slot mapping, so momentum keeps its sign even when
-    /// sampled between the halves of a fused step.
+    /// accumulates. Each node's `(ρ, m)` comes from the one moment kernel
+    /// ([`moments`], parity-aware, so momentum keeps its sign even when
+    /// sampled between the halves of a fused step); nodes are added in
+    /// node order inside each 4096-node chunk and the chunks through the
+    /// exec pool's fixed-shape ordered tree
+    /// ([`apr_exec::ExecPool::par_sum4`]). The totals are therefore
+    /// bit-identical across thread counts and storage parities, and equal
+    /// to a flat `Σ_node Σ_i` only to rounding — compare them against
+    /// tolerances, as the ledger does.
     pub fn mass_momentum_totals(&self) -> (f64, [f64; 3], usize) {
         let n = self.node_count();
         let [mass, mx, my, mz] = apr_exec::current().par_sum4(n, 4096, |_, range| {
@@ -447,13 +461,11 @@ impl Lattice {
                 if self.flags[node] != NodeClass::Fluid {
                     continue;
                 }
-                for (i, c) in C.iter().enumerate() {
-                    let fi = self.f[self.slot(node, i)];
-                    acc[0] += fi;
-                    acc[1] += fi * c[0] as f64;
-                    acc[2] += fi * c[1] as f64;
-                    acc[3] += fi * c[2] as f64;
-                }
+                let (rho, m) = self.node_moments(node);
+                acc[0] += rho;
+                acc[1] += m[0];
+                acc[2] += m[1];
+                acc[3] += m[2];
             }
             acc
         });

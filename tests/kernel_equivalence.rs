@@ -167,6 +167,15 @@ fn mid_step_accessors_agree_across_kernels() {
             (rb.to_bits(), ub.map(f64::to_bits))
         );
     }
+    // The ledger sweep sums the same per-node moments, so its totals are
+    // parity-blind too.
+    let (mass_a, mom_a, nodes_a) = a.mass_momentum_totals();
+    let (mass_b, mom_b, nodes_b) = b.mass_momentum_totals();
+    assert_eq!(
+        (mass_a.to_bits(), mom_a.map(f64::to_bits), nodes_a),
+        (mass_b.to_bits(), mom_b.map(f64::to_bits), nodes_b),
+        "mid-step ledger totals differ between storage parities"
+    );
     a.advance(SubStep::Stream);
     b.advance(SubStep::Stream);
     assert_eq!(digest(&a), digest(&b));
