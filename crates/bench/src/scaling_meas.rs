@@ -5,6 +5,9 @@
 //! kernel scales over apr-exec worker counts on the host — the same
 //! surface-to-volume story at shared-memory scale.
 
+use std::sync::Arc;
+
+use apr_exec::ExecPool;
 use apr_lattice::Lattice;
 
 /// One measured scaling point.
@@ -20,27 +23,30 @@ pub struct MeasuredPoint {
 
 /// Time `steps` LBM steps of an `edge³` periodic box on `threads` workers.
 ///
-/// Swaps the process-global apr-exec pool for the duration of the call;
-/// deterministic chunking means every thread count produces the same
-/// physics, so only wall time varies.
+/// The box runs under a scoped pool of its own (`apr_exec::with_pool`), so
+/// the process-global pool and whatever else shares the process keep their
+/// lanes; the lattice kernels resolve `apr_exec::current()` per call, so the
+/// scoped pool is the one measured. Deterministic chunking means every
+/// thread count produces the same physics, so only wall time varies.
 fn time_box(threads: usize, edge: usize, steps: usize) -> f64 {
-    apr_exec::set_threads(threads);
-    let mut lat = Lattice::new(edge, edge, edge, 0.9);
-    lat.periodic = [true, true, true];
-    lat.body_force = [1e-7, 0.0, 0.0];
-    // Warm-up.
-    for _ in 0..3 {
-        lat.step();
-    }
-    // One clock path for the whole suite: the telemetry clock times the
-    // measurement and, when tracing is enabled, records it as a span.
-    let (_, elapsed_ns) = apr_telemetry::time("bench.lbm_box", || {
-        for _ in 0..steps {
+    apr_exec::with_pool(Arc::new(ExecPool::new(threads)), || {
+        let mut lat = Lattice::new(edge, edge, edge, 0.9);
+        lat.periodic = [true, true, true];
+        lat.body_force = [1e-7, 0.0, 0.0];
+        // Warm-up.
+        for _ in 0..3 {
             lat.step();
         }
-    });
-    let dt = elapsed_ns as f64 / 1.0e9;
-    (edge * edge * edge * steps) as f64 / dt / 1.0e6
+        // One clock path for the whole suite: the telemetry clock times the
+        // measurement and, when tracing is enabled, records it as a span.
+        let (_, elapsed_ns) = apr_telemetry::time("bench.lbm_box", || {
+            for _ in 0..steps {
+                lat.step();
+            }
+        });
+        let dt = elapsed_ns as f64 / 1.0e9;
+        (edge * edge * edge * steps) as f64 / dt / 1.0e6
+    })
 }
 
 /// Strong-scaling measurement: fixed `edge³` box over growing thread counts.

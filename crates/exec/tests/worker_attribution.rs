@@ -60,7 +60,30 @@ fn pool_regions_attribute_worker_time_to_open_span() {
             pool.run(&|_| {});
         });
     }
+
+    // Skewed vs balanced: lane 0 working alone must read as imbalance well
+    // above 1, every lane burning the same amount must not.
+    {
+        let _s = apr_telemetry::span("exec.test.skewed");
+        pool.run(&|lane| {
+            if lane == 0 {
+                burn_cpu(8_000_000);
+            }
+        });
+    }
+    {
+        let _s = apr_telemetry::span("exec.test.balanced");
+        pool.run(&|_| burn_cpu(4_000_000));
+    }
     rec.disable();
+
+    let skewed = stat(rec, "exec.test.skewed").workers.imbalance();
+    assert!(skewed > 1.5, "skewed workload reported imbalance {skewed}");
+    let balanced = stat(rec, "exec.test.balanced").workers.imbalance();
+    assert!(
+        balanced < 1.5,
+        "balanced workload reported imbalance {balanced}"
+    );
 
     let mt = stat(rec, "exec.test.mt");
     assert_eq!(mt.workers.regions, 2);

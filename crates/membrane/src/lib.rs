@@ -13,13 +13,11 @@ pub mod bending;
 pub mod constraints;
 pub mod forces;
 pub mod material;
-pub mod neohookean;
 pub mod reference;
 pub mod relax;
 pub mod skalak;
 
 pub use forces::{EnergyBreakdown, Membrane};
 pub use material::MembraneMaterial;
-pub use neohookean::{add_neohookean_forces, neohookean_energy, neohookean_energy_density};
 pub use reference::{dihedral_angle, ReferenceState};
 pub use relax::{relax, RelaxParams, RelaxReport};

@@ -81,8 +81,8 @@ pub fn add_skalak_forces(
 
 /// Generic in-plane FEM driver: any hyperelastic membrane law expressed as
 /// `W(I₁, I₂)` with gradient `(∂W/∂I₁, ∂W/∂I₂)` gets analytic nodal forces
-/// through the shared deformation-gradient machinery (used by both the
-/// Skalak law and `crate::neohookean`).
+/// through the deformation-gradient machinery (the Skalak law above is its
+/// one caller).
 pub fn add_inplane_forces_with(
     reference: &ReferenceState,
     vertices: &[Vec3],

@@ -4,9 +4,8 @@
 //! enough for CI (every registered scenario must build, run 20 steps and
 //! keep its conservation ledger clean — enforced by `tests/zoo_smoke.rs`
 //! and the `scenarios` CI job). EXPERIMENTS.md maps the entries to the
-//! paper's use cases; the bench suite's `network` scenario enumerates
-//! this registry, so adding an entry here automatically adds it to
-//! `BENCH_network.json`.
+//! paper's use cases; `zoo_smoke` enumerates this registry, so adding an
+//! entry here automatically puts it under that gate.
 
 use crate::spec::{GeometrySpec, InletSpec, ScenarioError, ScenarioSpec, WindowSpec};
 

@@ -6,8 +6,8 @@ use crate::session::{SessionResult, SessionStats};
 use crate::store::SpillStore;
 
 /// Aggregated view over every session the service has observed. Produced
-/// by `SimService::metrics`; the bench scenario serializes it into
-/// `BENCH_serve.json`.
+/// by `SimService::metrics`; `benchmark/`'s `serve_sweep` workload reports
+/// it as the `serve.*` rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMetrics {
     /// Sessions admitted so far (completed or not).

@@ -697,48 +697,6 @@ impl Recorder {
         out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
         out
     }
-
-    /// Build a [`Histogram`] over the retained durations (ns) of spans
-    /// named `name`, for percentile export. With at most `buckets`
-    /// distinct durations the bounds are the exact observed values;
-    /// otherwise `buckets` geometric buckets span the observed min..max.
-    /// `None` when no record of that name is retained.
-    pub fn phase_duration_histogram(&self, name: &str, buckets: usize) -> Option<Histogram> {
-        let buckets = buckets.max(2);
-        let durs: Vec<u64> = {
-            let inner = self.inner.lock().unwrap();
-            inner
-                .trace
-                .iter()
-                .filter(|r| r.name == name)
-                .map(|r| r.dur_ns)
-                .collect()
-        };
-        if durs.is_empty() {
-            return None;
-        }
-        let mut distinct = durs.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let bounds: Vec<f64> = if distinct.len() <= buckets {
-            distinct.iter().map(|&d| d as f64).collect()
-        } else {
-            let lo = (*distinct.first().unwrap() as f64).max(1.0);
-            let hi = *distinct.last().unwrap() as f64;
-            let ratio = (hi / lo).powf(1.0 / buckets as f64);
-            let mut b: Vec<f64> = (1..buckets as u32)
-                .map(|i| lo * ratio.powi(i as i32))
-                .collect();
-            b.push(hi); // exact top edge, immune to powf rounding
-            b.dedup_by(|a, b| *a <= *b);
-            b
-        };
-        let mut h = Histogram::new(&bounds);
-        for d in durs {
-            h.record(d as f64);
-        }
-        Some(h)
-    }
 }
 
 /// RAII span guard returned by [`Recorder::span`]; the span closes when
@@ -940,39 +898,6 @@ mod tests {
         rec.record_parallel_region(10, &[10]);
         rec.record_rank_times(&[5]);
         assert!(rec.phase_stats().is_empty());
-    }
-
-    #[test]
-    fn phase_duration_histogram_is_exact_for_small_n() {
-        let rec = Recorder::with_clock(Clock::manual());
-        rec.enable();
-        for d in [10u64, 20, 30, 30] {
-            let _s = rec.span("p");
-            rec.clock().advance(d);
-        }
-        let h = rec.phase_duration_histogram("p", 32).unwrap();
-        assert_eq!(h.bounds, vec![10.0, 20.0, 30.0]);
-        assert_eq!(h.count, 4);
-        assert_eq!(h.percentile(0.5), 20.0);
-        assert_eq!(h.percentile(0.95), 30.0);
-        assert!(rec.phase_duration_histogram("absent", 32).is_none());
-    }
-
-    #[test]
-    fn phase_duration_histogram_geometric_covers_range() {
-        let rec = Recorder::with_clock(Clock::manual());
-        rec.enable();
-        for d in 1..=100u64 {
-            let _s = rec.span("p");
-            rec.clock().advance(d * 7);
-        }
-        let h = rec.phase_duration_histogram("p", 8).unwrap();
-        assert_eq!(h.count, 100);
-        assert_eq!(h.overflow(), 0, "max duration must land inside a bucket");
-        assert_eq!(h.min, 7.0);
-        assert_eq!(h.max, 700.0);
-        let p50 = h.percentile(0.5);
-        assert!((7.0..=700.0).contains(&p50));
     }
 
     #[test]
