@@ -8,9 +8,9 @@
 //! post-rollback retry of the same steps proceeds clean, exactly like a
 //! transient hardware fault.
 
-/// What to corrupt. (Halo-exchange drops are injected inside
-/// `apr-parallel` under its own `fault-injection` feature — message loss
-/// is a property of the exchanger, not of engine state.)
+/// What to corrupt. (Halo-message drops are scheduled by
+/// `apr_parallel::ChaosPlan` — message loss is a property of the
+/// exchange, not of engine state.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Poison one vertex of the `cell_index`-th live cell with NaN before

@@ -102,6 +102,9 @@ pub enum HealthIssue {
         rank: usize,
         /// Number of faces left stale in the incident.
         frozen_faces: u32,
+        /// Verdict that froze them (`"peer_dead"`, `"timeout"`,
+        /// `"corrupt"`, ...).
+        reason: &'static str,
     },
     /// A rank died (panic, kill, or heartbeat stall) and was recovered —
     /// or could not be. Recorded so campaign post-mortems list rank-level

@@ -10,12 +10,10 @@
 //! with the same splitmix64 generator `apr-guard` uses for its fault
 //! plans, so a CI matrix row is reproduced locally by quoting one number.
 //!
-//! The plan type and the kill/hang/panic faults are compiled
-//! unconditionally (the headline rank-recovery test runs in the default
-//! feature set); a production run simply never schedules anything. The
-//! message-level faults are applied by the exchange layers — gated behind
-//! `fault-injection` in [`crate::halo`], unconditional in the supervisor
-//! where the plan itself is the opt-in.
+//! The plan and every fault kind are compiled unconditionally (the
+//! headline rank-recovery test runs in the default build); a production
+//! run simply never schedules anything. The supervisor's plane exchange
+//! applies the message-level faults — attaching a plan is the opt-in.
 
 /// What to do to a rank's outgoing halo messages in one exchange round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,16 +16,16 @@
 use apr_guard::crc32;
 use std::fmt;
 
-/// A directed communication link, named for error messages and NACK
-/// routing: `src → dst` with a small tag distinguishing parallel links
-/// between the same pair (face axis/direction, or low/high plane).
+/// A directed communication link, named for error messages: `src → dst`
+/// with a small tag distinguishing parallel links between the same pair
+/// (low/high plane).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId {
     /// Sending rank.
     pub src: u32,
     /// Receiving rank.
     pub dst: u32,
-    /// Link discriminator (face index or plane side).
+    /// Link discriminator (plane side).
     pub tag: u8,
 }
 
@@ -73,23 +73,26 @@ pub enum HaloError {
         /// Values received.
         got: usize,
     },
-    /// The sending rank is known dead (channel closed or supervisor
-    /// marked it down); no resend can heal this.
+    /// The sending rank is dead or stalled (the supervisor marked it
+    /// down); no resend can heal this.
     PeerDead {
         /// The dead rank.
         rank: usize,
     },
-    /// Resend budget exhausted without a valid slab; the ghost layer was
-    /// frozen at its previous contents.
-    ResendsExhausted {
-        /// Link that never produced a valid slab.
-        link: LinkId,
-        /// Resend attempts made.
-        attempts: u32,
-    },
-    /// Task/field bookkeeping mismatch (caller error, reported typed so a
-    /// service layer can reject the request instead of dying).
-    Protocol(String),
+}
+
+impl HaloError {
+    /// Short machine-readable name of the verdict, carried by
+    /// `HealthIssue::HaloDegraded` when a ghost freezes.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            HaloError::Timeout { .. } => "timeout",
+            HaloError::Corrupt { .. } => "corrupt",
+            HaloError::Reordered { .. } => "reordered",
+            HaloError::SizeMismatch { .. } => "size_mismatch",
+            HaloError::PeerDead { .. } => "peer_dead",
+        }
+    }
 }
 
 impl fmt::Display for HaloError {
@@ -121,11 +124,6 @@ impl fmt::Display for HaloError {
                 "halo link {link}: payload holds {got} values, face needs {expected}"
             ),
             HaloError::PeerDead { rank } => write!(f, "halo peer rank {rank} is dead"),
-            HaloError::ResendsExhausted { link, attempts } => write!(
-                f,
-                "halo link {link}: no valid slab after {attempts} resend attempts"
-            ),
-            HaloError::Protocol(m) => write!(f, "halo protocol error: {m}"),
         }
     }
 }
@@ -209,9 +207,7 @@ impl SealedSlab {
     }
 
     /// Flip one payload bit *without* resealing — models in-flight
-    /// corruption for the chaos harness. (Kept unconditionally compiled so
-    /// the envelope's own tests cover it; the exchangers only call it
-    /// under `fault-injection`.)
+    /// corruption for the chaos harness (`MsgFault::Corrupt`).
     pub fn corrupt_in_place(&mut self) {
         if self.payload.is_empty() {
             // Damage the seal instead so the corruption is still visible.
@@ -227,18 +223,6 @@ impl SealedSlab {
     pub fn byte_len(&self) -> usize {
         self.payload.len() * std::mem::size_of::<f64>()
     }
-}
-
-/// A negative acknowledgement: "link `link`, epoch `epoch` never arrived
-/// intact — resend from your retained buffer".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Nack {
-    /// Link whose slab is being re-requested.
-    pub link: LinkId,
-    /// Exchange round of the missing slab.
-    pub epoch: u64,
-    /// Short machine-readable reason (`"timeout"`, `"corrupt"`, ...).
-    pub reason: &'static str,
 }
 
 #[cfg(test)]

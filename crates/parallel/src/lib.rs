@@ -1,34 +1,25 @@
-//! Parallel execution substrate standing in for Summit's MPI ranks
-//! (paper §2.4.4–2.4.5).
+//! Distributed LBM runtime standing in for Summit's MPI ranks (paper
+//! §2.4.4).
 //!
-//! The paper's algorithms care about the *topology* of parallelism — which
-//! task owns which block, what halo traffic each step generates, how cells
-//! migrate between tasks, and how bulk (CPU) and window (GPU) work share a
-//! node 36:6 — not about the transport. This crate reproduces that topology
-//! in shared memory: block decompositions ([`decomp`]), device-tagged task
-//! schedules ([`device`], [`schedule`]), channel-based halo exchange
-//! ([`halo`]), and centroid-ownership cell migration ([`migrate`]). The
-//! performance model in `apr-perfmodel` consumes the same geometry to
-//! regenerate the paper's scaling figures.
+//! The paper's bulk solver runs as MPI ranks that own blocks of the domain
+//! and trade halo layers every step. This crate reproduces that in shared
+//! memory: a global lattice is cut into z-slabs that collide, exchange
+//! ghost planes and stream as separate ranks ([`distributed_lbm`]), the
+//! planes travel sealed (epoch + sequence + CRC32, [`envelope`]) and are
+//! re-requested until they verify, and a supervisor contains rank panics,
+//! detects hangs, keeps buddy checkpoints and replays a lost rank
+//! bit-identically ([`supervisor`]) under a seeded fault schedule
+//! ([`chaos`]). [`decomp`] is the exact 3-D block geometry
+//! `apr-perfmodel`'s analytic neighbour fraction is checked against.
 
 pub mod chaos;
 pub mod decomp;
-pub mod device;
 pub mod distributed_lbm;
 pub mod envelope;
-pub mod halo;
-pub mod migrate;
-pub mod schedule;
 pub mod supervisor;
-pub mod timeline;
 
 pub use chaos::{ChaosEvent, ChaosPlan, MsgFault};
 pub use decomp::{Block, BlockDecomposition};
-pub use device::{Device, NodeConfig, Task};
 pub use distributed_lbm::SlabLattice;
-pub use envelope::{HaloError, LinkId, Nack, SealedSlab};
-pub use halo::{ExchangeReport, GhostField, HaloConfig, HaloExchanger};
-pub use migrate::{churn_stats, plan_migrations, ChurnStats, Migration};
-pub use schedule::Schedule;
+pub use envelope::{HaloError, LinkId, SealedSlab};
 pub use supervisor::{ResilienceConfig, ResilienceError, ResilientSlabLattice, StepOutcome};
-pub use timeline::{simulate_step, Timeline, WorkRates};

@@ -5,13 +5,14 @@
 //! layer a multi-day campaign needs:
 //!
 //! * **Sealed plane exchange** — ghost planes travel as [`SealedSlab`]
-//!   envelopes (epoch + sequence + CRC32) over channels, carrying only
-//!   the five D3Q19 populations that actually cross each z-face (pull
-//!   streaming reads nothing else from a ghost plane), a 19→5 payload
-//!   reduction that keeps the checksum overhead inside the resilience
-//!   budget. Validation failures are NACKed and resent from retained
-//!   buffers with exponential backoff; exhaustion freezes the ghost and
-//!   records a [`HealthIssue::HaloDegraded`] instead of aborting.
+//!   envelopes (epoch + sequence + CRC32) over per-link queues, carrying
+//!   only the five D3Q19 populations that actually cross each z-face
+//!   (pull streaming reads nothing else from a ghost plane), a 19→5
+//!   payload reduction that keeps the checksum overhead inside the
+//!   resilience budget. Validation failures are NACKed and resent from
+//!   retained buffers with exponential backoff; exhaustion freezes the
+//!   ghost and records a [`HealthIssue::HaloDegraded`] instead of
+//!   aborting.
 //! * **Rank supervision** — every rank's collide/stream runs inside
 //!   `catch_unwind`; a panic marks the rank dead instead of tearing down
 //!   the process. Per-rank heartbeats (last completed step) detect hung
@@ -29,13 +30,18 @@
 use crate::chaos::ChaosPlan;
 use crate::distributed_lbm::SlabLattice;
 use crate::envelope::{HaloError, LinkId, SealedSlab};
-use crate::halo::HaloConfig;
 use apr_guard::{read_lattice, write_lattice, CheckpointReader, CheckpointWriter, GuardError};
 use apr_guard::{HealthIssue, HealthReport};
 use apr_lattice::{Lattice, SubStep, C};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Resend attempts per plane before its ghost freezes.
+const MAX_RESENDS: u32 = 3;
+/// Backoff before re-receiving after the first resend; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_micros(20);
 
 /// Tunables for the resilience layer.
 #[derive(Debug, Clone)]
@@ -47,8 +53,6 @@ pub struct ResilienceConfig {
     pub max_recoveries: u32,
     /// Stalled heartbeat steps before a hung rank is declared dead.
     pub hang_patience: u64,
-    /// Sealed-exchange protocol tunables (resend budget, timeouts).
-    pub halo: HaloConfig,
 }
 
 impl Default for ResilienceConfig {
@@ -57,7 +61,6 @@ impl Default for ResilienceConfig {
             checkpoint_interval: 8,
             max_recoveries: 8,
             hang_patience: 2,
-            halo: HaloConfig::default(),
         }
     }
 }
@@ -121,8 +124,9 @@ struct PlaneLink {
     dst: usize,
     /// 0 = fills dst's low ghost (plane 0), 1 = fills dst's high ghost.
     tag: u8,
-    tx: Sender<SealedSlab>,
-    rx: Receiver<SealedSlab>,
+    /// Slabs posted and not yet received. Sender and receiver run in
+    /// sequence on the supervisor's thread, so the wire is a queue.
+    queue: VecDeque<SealedSlab>,
     /// Last sealed slab, kept for NACK-driven resend.
     retained: Option<SealedSlab>,
     /// Slab withheld by a Delay fault until the first resend request.
@@ -189,25 +193,21 @@ impl ResilientSlabLattice {
             let prev = (dst + tasks - 1) % tasks;
             let next = (dst + 1) % tasks;
             if slabs.ghost_lo(dst) == 1 {
-                let (tx, rx) = unbounded();
                 links.push(PlaneLink {
                     src: prev,
                     dst,
                     tag: 0,
-                    tx,
-                    rx,
+                    queue: VecDeque::new(),
                     retained: None,
                     delayed: None,
                 });
             }
             if slabs.ghost_hi(dst) == 1 {
-                let (tx, rx) = unbounded();
                 links.push(PlaneLink {
                     src: next,
                     dst,
                     tag: 1,
-                    tx,
-                    rx,
+                    queue: VecDeque::new(),
                     retained: None,
                     delayed: None,
                 });
@@ -444,7 +444,7 @@ impl ResilientSlabLattice {
         // Drain any in-flight slabs from the abandoned timeline so the
         // replay's exchanges cannot observe stale messages.
         for link in &mut self.links {
-            while link.rx.try_recv().is_ok() {}
+            link.queue.clear();
             link.retained = None;
             link.delayed = None;
         }
@@ -599,11 +599,9 @@ impl ResilientSlabLattice {
                 Some(crate::chaos::MsgFault::Corrupt) => {
                     let mut bad = slab;
                     bad.corrupt_in_place();
-                    let _ = link.tx.send(bad);
+                    link.queue.push_back(bad);
                 }
-                None => {
-                    let _ = link.tx.send(slab);
-                }
+                None => link.queue.push_back(slab),
             }
         }
         apr_telemetry::counter_add("halo.bytes", bytes);
@@ -620,20 +618,15 @@ impl ResilientSlabLattice {
                 // Peer dead or stalled: no message will ever come. Freeze
                 // the ghost at its previous contents and flag it.
                 frozen += 1;
-                self.record_degraded(dst, tag, HaloError::PeerDead { rank: src });
+                self.record_degraded(dst, HaloError::PeerDead { rank: src });
                 continue;
             }
             let expected_len = self.slabs.locals[dst].nx * self.slabs.locals[dst].ny * 5;
             let mut attempt = 0u32;
             let healed = loop {
-                let received = {
-                    let link = &self.links[li];
-                    match link.rx.try_recv() {
-                        Ok(slab) => Some(slab),
-                        Err(_) => link.rx.recv_timeout(self.cfg.halo.recv_timeout).ok(),
-                    }
-                };
-                let verdict = match received {
+                // Only this thread fills the queue, so empty is the
+                // `Timeout` verdict: waiting cannot make a slab arrive.
+                let verdict = match self.links[li].queue.pop_front() {
                     Some(slab) => match slab.verify(round, expected_len) {
                         Ok(()) => {
                             self.insert_crossing(dst, tag, &slab.payload);
@@ -654,8 +647,8 @@ impl ResilientSlabLattice {
                         },
                     },
                 };
-                if attempt >= self.cfg.halo.max_resends {
-                    self.record_degraded(dst, tag, verdict);
+                if attempt >= MAX_RESENDS {
+                    self.record_degraded(dst, verdict);
                     break false;
                 }
                 attempt += 1;
@@ -664,7 +657,7 @@ impl ResilientSlabLattice {
                 let link = &mut self.links[li];
                 let resend = link.delayed.take().or_else(|| link.retained.clone());
                 if let Some(slab) = resend {
-                    let _ = link.tx.send(slab);
+                    link.queue.push_back(slab);
                     resends += 1;
                     apr_telemetry::counter_add("halo.resends", 1);
                     apr_telemetry::emit(apr_telemetry::TelemetryEvent::HaloResend {
@@ -673,7 +666,7 @@ impl ResilientSlabLattice {
                         messages: 1,
                     });
                 }
-                std::thread::sleep(self.cfg.halo.backoff_base * (1 << (attempt - 1).min(10)));
+                std::thread::sleep(BACKOFF_BASE * (1 << (attempt - 1).min(10)));
             };
             if !healed {
                 frozen += 1;
@@ -685,16 +678,17 @@ impl ResilientSlabLattice {
         (frozen, resends)
     }
 
-    fn record_degraded(&mut self, rank: usize, tag: u8, err: HaloError) {
+    /// One ghost plane of `rank` stayed stale this round; `err` says why.
+    fn record_degraded(&mut self, rank: usize, err: HaloError) {
         apr_telemetry::emit(apr_telemetry::TelemetryEvent::SentinelTrip {
             step: self.step + 1,
             issues: 1,
             first_kind: "halo_degraded",
         });
-        let _ = err;
         self.issues.push(HealthIssue::HaloDegraded {
             rank,
-            frozen_faces: 1 << tag,
+            frozen_faces: 1,
+            reason: err.reason(),
         });
     }
 
@@ -876,14 +870,41 @@ mod tests {
         plan.hang_rank(10, 1, 5);
         chaotic.set_chaos(plan);
         let mut saw_unclean = false;
+        let mut frozen_planes = 0;
         for _ in 0..steps {
             let out = chaotic.step().unwrap();
             saw_unclean |= !out.clean;
+            frozen_planes += out.frozen_faces;
         }
         assert!(saw_unclean, "the stall period must be visible");
         assert_eq!(chaotic.rollback_count(), 1);
         // The degradation was recorded, then healed by rollback.
-        assert!(!chaotic.health_report().is_healthy());
+        let report = chaotic.health_report();
+        assert!(!report.is_healthy());
+        // One issue per frozen plane, each naming the stalled peer as the
+        // cause and counting faces the way `StepOutcome` does.
+        let degraded: Vec<(u32, &str)> = report
+            .issues
+            .iter()
+            .filter_map(|issue| match *issue {
+                HealthIssue::HaloDegraded {
+                    frozen_faces,
+                    reason,
+                    ..
+                } => Some((frozen_faces, reason)),
+                _ => None,
+            })
+            .collect();
+        assert!(frozen_planes > 0);
+        assert_eq!(degraded.len() as u32, frozen_planes);
+        assert!(
+            degraded.iter().all(|&(_, r)| r == "peer_dead"),
+            "{report:?}"
+        );
+        assert_eq!(
+            degraded.iter().map(|&(faces, _)| faces).sum::<u32>(),
+            frozen_planes
+        );
         assert_bit_identical(&clean.gather(&global), &chaotic.gather(&global));
     }
 

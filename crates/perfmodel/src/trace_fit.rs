@@ -4,12 +4,9 @@
 //! MLUPS number; this module closes it from a *production* trace: the
 //! per-phase aggregates the `apr-telemetry` profiler accumulates while an
 //! [`AprEngine`](../../apr_core) run is instrumented. The fit decomposes
-//! measured step wall time into the three terms the task-timeline model
-//! uses — bulk (CPU) node work, window (GPU) node work, halo traffic —
-//! and hands back [`apr_parallel::WorkRates`] so timeline predictions and
-//! the live run share one rate base.
+//! measured step wall time into bulk (CPU) node work and window (GPU)
+//! node work, so model predictions and the live run share one rate base.
 
-use apr_parallel::WorkRates;
 use apr_telemetry::PhaseStat;
 
 /// Per-step problem size the trace was recorded at, needed to turn phase
@@ -23,9 +20,6 @@ pub struct StepGeometry {
     pub fine_fluid_nodes: u64,
     /// Refinement ratio n (fine substeps per coarse step).
     pub refinement: u64,
-    /// Halo sites exchanged per coarse step (0 when the run has no halo
-    /// exchange).
-    pub halo_sites: u64,
 }
 
 impl StepGeometry {
@@ -41,11 +35,8 @@ pub struct FittedRates {
     /// Seconds per bulk lattice node per coarse step.
     pub cpu_per_node: f64,
     /// Seconds per window lattice node per coarse step (all substeps and
-    /// FSI/coupling work included — matching the timeline model's GPU
-    /// task semantics).
+    /// FSI/coupling work included).
     pub gpu_per_node: f64,
-    /// Seconds per halo site exchanged.
-    pub comm_per_site: f64,
     /// Measured mean step wall seconds the fit decomposed.
     pub step_seconds: f64,
     /// Steps the trace aggregated over.
@@ -53,21 +44,11 @@ pub struct FittedRates {
 }
 
 impl FittedRates {
-    /// The fitted rates as the timeline model's [`WorkRates`].
-    pub fn work_rates(&self) -> WorkRates {
-        WorkRates {
-            cpu_per_node: self.cpu_per_node,
-            gpu_per_node: self.gpu_per_node,
-            comm_per_site: self.comm_per_site,
-        }
-    }
-
     /// Model-predicted step wall seconds for a problem of size `geom`
     /// under these rates (single-task execution: terms add).
     pub fn predict_step_seconds(&self, geom: &StepGeometry) -> f64 {
         self.cpu_per_node * geom.coarse_fluid_nodes as f64
             + self.gpu_per_node * geom.fine_fluid_nodes as f64
-            + self.comm_per_site * geom.halo_sites as f64
     }
 
     /// Measured throughput in million site updates per second.
@@ -89,9 +70,9 @@ fn total_secs(stats: &[PhaseStat], name: &str) -> f64 {
 
 /// Fit work rates from the phase aggregates of an instrumented APR run.
 ///
-/// Decomposition: bulk work is the `apr.coarse` phase; halo work is
-/// `halo.pack_send` + `halo.recv_unpack`; everything else under `apr.step`
-/// (fine substeps, FSI, coupling, window maintenance) is window work.
+/// Decomposition: bulk work is the `apr.coarse` phase; everything else
+/// under `apr.step` (fine substeps, FSI, coupling, window maintenance) is
+/// window work.
 /// Returns `None` when the trace contains no completed `apr.step` span.
 pub fn fit_step_rates(stats: &[PhaseStat], geom: &StepGeometry) -> Option<FittedRates> {
     let step = stats.iter().find(|s| s.name == "apr.step")?;
@@ -103,9 +84,7 @@ pub fn fit_step_rates(stats: &[PhaseStat], geom: &StepGeometry) -> Option<Fitted
 
     let step_secs = per_step(step.total_ns as f64 / 1.0e9);
     let coarse_secs = per_step(total_secs(stats, "apr.coarse"));
-    let halo_secs =
-        per_step(total_secs(stats, "halo.pack_send") + total_secs(stats, "halo.recv_unpack"));
-    let window_secs = (step_secs - coarse_secs - halo_secs).max(0.0);
+    let window_secs = (step_secs - coarse_secs).max(0.0);
 
     Some(FittedRates {
         cpu_per_node: if geom.coarse_fluid_nodes > 0 {
@@ -115,11 +94,6 @@ pub fn fit_step_rates(stats: &[PhaseStat], geom: &StepGeometry) -> Option<Fitted
         },
         gpu_per_node: if geom.fine_fluid_nodes > 0 {
             window_secs / geom.fine_fluid_nodes as f64
-        } else {
-            0.0
-        },
-        comm_per_site: if geom.halo_sites > 0 {
-            halo_secs / geom.halo_sites as f64
         } else {
             0.0
         },
@@ -162,18 +136,15 @@ mod tests {
             coarse_fluid_nodes: 1000,
             fine_fluid_nodes: 500,
             refinement: 4,
-            halo_sites: 200,
         }
     }
 
     #[test]
     fn fit_decomposes_step_time_exactly() {
-        // 10 steps: 2 ms/step total; 0.5 ms coarse, 0.1 ms halo, rest window.
+        // 10 steps: 2 ms/step total; 0.5 ms coarse, rest window.
         let stats = vec![
             stat("apr.step", 10, 20_000_000),
             stat("apr.coarse", 10, 5_000_000),
-            stat("halo.pack_send", 10, 600_000),
-            stat("halo.recv_unpack", 10, 400_000),
             stat("fsi.spread", 40, 8_000_000),
         ];
         let g = geom();
@@ -181,7 +152,6 @@ mod tests {
         assert_eq!(fit.steps, 10);
         assert!((fit.step_seconds - 2.0e-3).abs() < 1e-12);
         assert!((fit.cpu_per_node - 0.5e-3 / 1000.0).abs() < 1e-15);
-        assert!((fit.comm_per_site - 0.1e-3 / 200.0).abs() < 1e-15);
         // Prediction on the fitted geometry reproduces the measurement.
         let predicted = fit.predict_step_seconds(&g);
         assert!(
@@ -195,19 +165,6 @@ mod tests {
     fn fit_requires_step_spans() {
         assert!(fit_step_rates(&[stat("apr.coarse", 5, 1000)], &geom()).is_none());
         assert!(fit_step_rates(&[stat("apr.step", 0, 0)], &geom()).is_none());
-    }
-
-    #[test]
-    fn work_rates_round_trip_into_timeline_type() {
-        let stats = vec![
-            stat("apr.step", 4, 8_000_000),
-            stat("apr.coarse", 4, 2_000_000),
-        ];
-        let fit = fit_step_rates(&stats, &geom()).unwrap();
-        let wr = fit.work_rates();
-        assert_eq!(wr.cpu_per_node, fit.cpu_per_node);
-        assert_eq!(wr.gpu_per_node, fit.gpu_per_node);
-        assert_eq!(wr.comm_per_site, 0.0);
     }
 
     #[test]
@@ -227,12 +184,10 @@ mod tests {
             coarse_fluid_nodes: 0,
             fine_fluid_nodes: 0,
             refinement: 1,
-            halo_sites: 0,
         };
         let fit = fit_step_rates(&stats, &g).unwrap();
         assert_eq!(fit.cpu_per_node, 0.0);
         assert_eq!(fit.gpu_per_node, 0.0);
-        assert_eq!(fit.comm_per_site, 0.0);
         assert!(fit.predict_step_seconds(&g).is_finite());
     }
 }

@@ -1,6 +1,6 @@
 //! Typed telemetry events: discrete happenings in the APR step loop that a
 //! flat timer cannot express — window moves, insertion repopulations,
-//! guardian rollbacks, halo exchanges.
+//! guardian rollbacks, halo resends.
 //!
 //! Every variant is `Copy` with no heap payload so that constructing one on
 //! a disabled recorder costs nothing (the no-alloc guarantee the hot loop
@@ -76,15 +76,6 @@ pub enum TelemetryEvent {
         step: u64,
         /// Attempts consumed.
         attempts: u32,
-    },
-    /// One halo exchange completed across all tasks.
-    HaloExchange {
-        /// 0-based exchange round.
-        round: u64,
-        /// Total bytes moved.
-        bytes: u64,
-        /// Receives starved by dropped sends (fault injection only).
-        starved: u32,
     },
     /// A sealed halo message failed validation or timed out and was
     /// re-requested from the sender's retained buffer.
@@ -178,7 +169,6 @@ impl TelemetryEvent {
             TelemetryEvent::CheckpointSaved { .. } => "checkpoint_saved",
             TelemetryEvent::Rollback { .. } => "rollback",
             TelemetryEvent::RetriesExhausted { .. } => "retries_exhausted",
-            TelemetryEvent::HaloExchange { .. } => "halo_exchange",
             TelemetryEvent::HaloResend { .. } => "halo_resend",
             TelemetryEvent::RankDown { .. } => "rank_down",
             TelemetryEvent::RankRestored { .. } => "rank_restored",
@@ -191,7 +181,7 @@ impl TelemetryEvent {
         }
     }
 
-    /// Engine step the event refers to (`HaloExchange` reports its round;
+    /// Engine step the event refers to (`HaloResend` reports its round;
     /// admission and cache events, which precede any stepping, report 0).
     pub fn step(&self) -> u64 {
         match *self {
@@ -207,8 +197,7 @@ impl TelemetryEvent {
             TelemetryEvent::SessionResumed { step, .. }
             | TelemetryEvent::SessionPreempted { step, .. }
             | TelemetryEvent::SessionCompleted { step, .. } => step,
-            TelemetryEvent::HaloExchange { round, .. }
-            | TelemetryEvent::HaloResend { round, .. } => round,
+            TelemetryEvent::HaloResend { round, .. } => round,
             TelemetryEvent::SessionAdmitted { .. }
             | TelemetryEvent::WarmCacheHit { .. }
             | TelemetryEvent::WarmCacheMiss { .. } => 0,
@@ -257,14 +246,14 @@ mod tests {
                 issues: 3,
                 first_kind: "non_finite_density",
             },
-            TelemetryEvent::HaloExchange {
+            TelemetryEvent::HaloResend {
                 round: 7,
-                bytes: 1024,
-                starved: 0,
+                attempt: 1,
+                messages: 1,
             },
         ];
         let kinds: Vec<_> = evs.iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds, ["window_move", "sentinel_trip", "halo_exchange"]);
+        assert_eq!(kinds, ["window_move", "sentinel_trip", "halo_resend"]);
         assert_eq!(evs[2].step(), 7);
     }
 }

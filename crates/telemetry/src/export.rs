@@ -79,16 +79,6 @@ pub(crate) fn event_args(ev: &TelemetryEvent, out: &mut String) {
         TelemetryEvent::RetriesExhausted { step, attempts } => {
             let _ = write!(out, "\"step\":{step},\"attempts\":{attempts}");
         }
-        TelemetryEvent::HaloExchange {
-            round,
-            bytes,
-            starved,
-        } => {
-            let _ = write!(
-                out,
-                "\"round\":{round},\"bytes\":{bytes},\"starved\":{starved}"
-            );
-        }
         TelemetryEvent::HaloResend {
             round,
             attempt,

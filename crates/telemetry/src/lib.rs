@@ -11,7 +11,7 @@
 //! * **metrics** — named counters, gauges and fixed-bucket histograms
 //!   with a JSONL time-series exporter;
 //! * **events** — a typed stream of discrete happenings (window moves,
-//!   repopulations, guardian rollbacks, halo exchanges).
+//!   repopulations, guardian rollbacks, halo resends).
 //!
 //! Everything hangs off one process-global [`Recorder`] reached through
 //! the free functions below. Telemetry is **disabled by default**: a

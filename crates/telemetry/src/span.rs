@@ -89,7 +89,7 @@ pub fn current_step() -> u64 {
 }
 
 /// RAII guard attributing every span opened on this thread to a logical
-/// rank (an `apr-parallel` block) while it lives. Like [`SessionScope`],
+/// rank (an `apr-parallel` slab) while it lives. Like [`SessionScope`],
 /// scopes nest and the previous rank is restored on drop. Rank 0 is a
 /// real rank, so the unscoped state is `None`, not zero.
 #[must_use = "the scope attributes spans only while the guard lives"]
@@ -162,12 +162,11 @@ pub struct SpanRecord {
 }
 
 /// Aggregated per-lane busy-time statistics attached to a span name —
-/// "lane" meaning an `apr-exec` worker ([`PhaseStat::workers`]) or an
-/// `apr-parallel` halo rank ([`PhaseStat::ranks`]).
+/// "lane" meaning an `apr-exec` worker ([`PhaseStat::workers`]).
 ///
-/// One *region* is one parallel section (one pool dispatch or one halo
-/// phase); each region contributes `lanes` samples of per-lane busy time
-/// plus one imbalance observation `max_lane / mean_lane`.
+/// One *region* is one parallel section (one pool dispatch); each region
+/// contributes `lanes` samples of per-lane busy time plus one imbalance
+/// observation `max_lane / mean_lane`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LaneStats {
     /// Parallel regions recorded under this phase.
@@ -182,10 +181,10 @@ pub struct LaneStats {
     pub max_ns: u64,
     /// Total barrier-wait nanoseconds summed over all lanes of all
     /// regions: each lane's wait is the region span (dispatch-to-barrier
-    /// wall time for pool regions, the slowest rank for rank regions)
-    /// minus that lane's busy time. Kept separate from [`busy_ns`] so a
-    /// lane idling at a barrier is never mistaken for a lane working —
-    /// the distinction behind the paper's rank-wait analysis.
+    /// wall time) minus that lane's busy time. Kept separate from
+    /// [`busy_ns`] so a lane idling at a barrier is never mistaken for a
+    /// lane working — the distinction behind the paper's rank-wait
+    /// analysis.
     ///
     /// [`busy_ns`]: LaneStats::busy_ns
     pub wait_ns: u64,
@@ -276,8 +275,6 @@ pub struct PhaseStat {
     pub barrier_ns: u64,
     /// Per-worker attribution from `apr-exec` parallel regions.
     pub workers: LaneStats,
-    /// Per-rank attribution from `apr-parallel` halo exchange.
-    pub ranks: LaneStats,
 }
 
 impl PhaseStat {
@@ -298,7 +295,6 @@ struct Frame {
     child_ns: u64,
     barrier_ns: u64,
     workers: LaneStats,
-    ranks: LaneStats,
     depth: u16,
     session: u64,
     rank: Option<u32>,
@@ -314,7 +310,6 @@ struct PhaseAcc {
     max_ns: u64,
     barrier_ns: u64,
     workers: LaneStats,
-    ranks: LaneStats,
 }
 
 #[derive(Debug)]
@@ -455,7 +450,6 @@ impl Recorder {
             child_ns: 0,
             barrier_ns: 0,
             workers: LaneStats::default(),
-            ranks: LaneStats::default(),
             depth,
             session,
             rank,
@@ -491,7 +485,6 @@ impl Recorder {
         acc.max_ns = acc.max_ns.max(dur_ns);
         acc.barrier_ns += frame.barrier_ns;
         acc.workers.merge(&frame.workers);
-        acc.ranks.merge(&frame.ranks);
         let record = SpanRecord {
             name: frame.name,
             tid,
@@ -528,26 +521,6 @@ impl Recorder {
         };
         frame.barrier_ns += wall_ns.saturating_sub(lane_busy_ns[0]);
         frame.workers.record_region(wall_ns, lane_busy_ns);
-    }
-
-    /// Attribute one halo-exchange phase's per-rank busy times to the
-    /// innermost open span on the calling thread. Unlike
-    /// [`Recorder::record_parallel_region`] this does not touch the span's
-    /// self time — ranks are a logical decomposition, not the thread that
-    /// owns the span. No-op when disabled or with no open span.
-    pub fn record_rank_times(&self, rank_busy_ns: &[u64]) {
-        if !self.is_enabled() || rank_busy_ns.is_empty() {
-            return;
-        }
-        let tid = current_tid();
-        let mut inner = self.inner.lock().unwrap();
-        let Some(frame) = inner.stacks.entry(tid).or_default().last_mut() else {
-            return;
-        };
-        // A rank region has no independent wall clock: every rank logically
-        // waits for the slowest one, so the slowest rank defines the span.
-        let region_ns = *rank_busy_ns.iter().max().unwrap();
-        frame.ranks.record_region(region_ns, rank_busy_ns);
     }
 
     /// Time `f` on the recorder clock, returning its result and the
@@ -691,7 +664,6 @@ impl Recorder {
                 max_ns: a.max_ns,
                 barrier_ns: a.barrier_ns,
                 workers: a.workers,
-                ranks: a.ranks,
             })
             .collect();
         out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
@@ -875,28 +847,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_times_attribute_without_touching_self_time() {
-        let rec = Recorder::with_clock(Clock::manual());
-        rec.enable();
-        {
-            let _s = rec.span("halo");
-            rec.clock().advance(80);
-            rec.record_rank_times(&[30, 10]);
-        }
-        let stats = rec.phase_stats();
-        let halo = stats.iter().find(|s| s.name == "halo").unwrap();
-        assert_eq!(halo.self_ns, 80);
-        assert_eq!(halo.ranks.samples, 2);
-        assert_eq!(halo.ranks.max_ns, 30);
-        assert_eq!(halo.workers.regions, 0);
-    }
-
-    #[test]
     fn orphan_region_without_open_span_is_ignored() {
         let rec = Recorder::with_clock(Clock::manual());
         rec.enable();
         rec.record_parallel_region(10, &[10]);
-        rec.record_rank_times(&[5]);
         assert!(rec.phase_stats().is_empty());
     }
 

@@ -61,7 +61,6 @@ fn disabled_telemetry_allocates_nothing() {
         apr_telemetry::histogram_record("fsi.force", &[1.0, 2.0, 4.0], 0.5);
         apr_telemetry::emit(TelemetryEvent::EscapedCells { step, count: 1 });
         apr_telemetry::global().record_parallel_region(100, &[60, 40]);
-        apr_telemetry::global().record_rank_times(&[30, 70]);
         apr_telemetry::sample_metrics(step);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);

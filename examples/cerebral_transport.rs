@@ -283,7 +283,6 @@ fn report_telemetry(opts: &CkptOpts, engine: &AprEngine, n: usize) {
         coarse_fluid_nodes: engine.coarse.fluid_node_count() as u64,
         fine_fluid_nodes: engine.fine.fluid_node_count() as u64,
         refinement: n as u64,
-        halo_sites: 0,
     };
     if let Some(fit) = fit_step_rates(&stats, &geom) {
         let predicted = fit.predict_step_seconds(&geom);

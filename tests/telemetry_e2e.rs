@@ -160,7 +160,6 @@ fn traced_run_validates_and_calibrates_the_machine_model() {
         coarse_fluid_nodes: engine.coarse.fluid_node_count() as u64,
         fine_fluid_nodes: engine.fine.fluid_node_count() as u64,
         refinement: 3,
-        halo_sites: 0,
     };
     let fit = fit_step_rates(&stats, &geom).expect("trace has step spans");
     assert_eq!(fit.steps, steps);
