@@ -122,7 +122,6 @@ pub struct AprEngineBuilder {
     window: Option<(f64, f64, f64)>,
     contact: ContactParams,
     kernel: DeltaKernel,
-    lbm_kernel: Option<KernelKind>,
     runtime: Option<RuntimeConfig>,
     seed: u64,
     maintenance_interval: u64,
@@ -151,21 +150,13 @@ impl AprEngineBuilder {
         self
     }
 
-    /// LBM collide/stream kernel variant for both lattices; `None`
-    /// (the default) defers to the installed `RuntimeConfig`, then
-    /// `APR_KERNEL`, then the fused kernel.
-    pub fn lbm_kernel(mut self, kind: impl Into<Option<KernelKind>>) -> Self {
-        self.lbm_kernel = kind.into();
-        self
-    }
-
-    /// Apply a whole [`RuntimeConfig`] to this engine: the kernel override
-    /// (when `Some`, it wins over any earlier [`Self::lbm_kernel`] call)
-    /// and the chunking policy, on both lattices. The `threads` knob is
-    /// process-wide and is **not** applied here — call
-    /// [`RuntimeConfig::install`] once at startup for that; this method
-    /// only scopes the per-engine knobs so two engines in one process can
-    /// run different kernels.
+    /// Apply a [`RuntimeConfig`] to this engine: its kernel override, when
+    /// `Some`, on both lattices; `None` (and no call at all) defers to the
+    /// installed `RuntimeConfig`, then `APR_KERNEL`, then the fused kernel.
+    /// The `threads` knob is process-wide and is **not** applied here —
+    /// call [`RuntimeConfig::install`] once at startup for that; this
+    /// method only scopes the kernel so two engines in one process can run
+    /// different kernels.
     pub fn runtime(mut self, cfg: RuntimeConfig) -> Self {
         self.runtime = Some(cfg);
         self
@@ -214,39 +205,25 @@ impl AprEngineBuilder {
             window,
             contact,
             kernel,
-            lbm_kernel,
             runtime,
             seed,
             maintenance_interval,
             pool_capacity,
             ledger,
         } = self;
-        if let Some(kind) = lbm_kernel {
+        let kernel_override = runtime.and_then(|c| c.kernel);
+        if let Some(kind) = kernel_override {
             coarse.set_kernel(Some(kind));
             fine.set_kernel(Some(kind));
         }
-        if let Some(cfg) = runtime {
-            if let Some(kind) = cfg.kernel {
-                coarse.set_kernel(Some(kind));
-                fine.set_kernel(Some(kind));
-            }
-            coarse.set_chunking(Some(cfg.chunking));
-            fine.set_chunking(Some(cfg.chunking));
-        }
         // Stamp the effective runtime knobs as run attributes: the flight
         // recorder copies them into its dump header, so a post-mortem
-        // identifies the kernel/thread/chunking configuration that
-        // produced it.
-        let kernel_attr = runtime.and_then(|c| c.kernel).or(lbm_kernel);
+        // identifies the kernel/thread configuration that produced it.
         apr_telemetry::set_attribute(
             "runtime.kernel",
-            kernel_attr.map_or("auto", KernelKind::as_str),
+            kernel_override.map_or("auto", KernelKind::as_str),
         );
         apr_telemetry::set_attribute("runtime.threads", apr_exec::current_threads().to_string());
-        apr_telemetry::set_attribute(
-            "runtime.chunking",
-            runtime.map_or("guided", |c| c.chunking.as_str()),
-        );
         let (proper_half, onramp, insertion_width) = window.unwrap_or_else(|| {
             let span = (fine.nx.min(fine.ny).min(fine.nz) - 1) as f64;
             (span * 0.22, span * 0.12, span * 0.14)
@@ -315,7 +292,6 @@ impl AprEngine {
                 strength: 5e-4,
             },
             kernel: DeltaKernel::Cosine4,
-            lbm_kernel: None,
             runtime: None,
             seed: 0x5eed,
             maintenance_interval: 50,

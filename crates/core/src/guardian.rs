@@ -26,17 +26,14 @@ use crate::efsi::EfsiEngine;
 use apr_coupling::CouplingMap;
 use apr_guard::{
     check_hematocrit, check_lattice, check_pool, read_lattice, read_pool, write_lattice,
-    write_pool, ByteReader, ByteWriter, CheckpointReader, CheckpointWriter, GuardError,
-    HealthIssue, HealthReport, RecoveryAction, RecoveryEvent, RecoveryLog, RetryPolicy,
+    write_pool, ByteReader, ByteWriter, CheckpointReader, CheckpointWriter, FaultKind, FaultPlan,
+    GuardError, HealthIssue, HealthReport, RecoveryAction, RecoveryEvent, RecoveryLog, RetryPolicy,
     SentinelConfig,
 };
 use apr_membrane::Membrane;
 use apr_window::{HematocritController, MoveTrigger, WindowAnatomy};
 use rand::rngs::StdRng;
 use std::sync::Arc;
-
-#[cfg(feature = "fault-injection")]
-use apr_guard::{FaultKind, FaultPlan};
 
 fn write_anatomy(w: &mut ByteWriter, a: &WindowAnatomy) {
     w.vec3(a.center);
@@ -264,9 +261,7 @@ pub struct Guardian {
     pub check_interval: u64,
     /// Structured log of every recovery incident.
     pub log: RecoveryLog,
-    /// Scheduled faults (testing only; compiled in under the
-    /// `fault-injection` feature).
-    #[cfg(feature = "fault-injection")]
+    /// Scheduled faults (testing only; empty by default).
     pub faults: FaultPlan,
     last_good: Option<Vec<u8>>,
     attempts: u32,
@@ -282,7 +277,6 @@ impl Guardian {
             policy,
             check_interval: check_interval.max(1),
             log: RecoveryLog::new(),
-            #[cfg(feature = "fault-injection")]
             faults: FaultPlan::new(),
             last_good: None,
             attempts: 0,
@@ -352,7 +346,6 @@ impl Guardian {
         }
     }
 
-    #[cfg(feature = "fault-injection")]
     fn apply_faults(&mut self, engine: &mut AprEngine) {
         // Faults scheduled for step S fire just before the step that makes
         // steps() == S, so the sentinel sees the corruption at its first
@@ -409,7 +402,6 @@ impl Guardian {
             });
             self.last_good = Some(blob);
         }
-        #[cfg(feature = "fault-injection")]
         self.apply_faults(engine);
 
         // A panicking step leaves the engine in an arbitrary state; that

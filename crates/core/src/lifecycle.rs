@@ -11,7 +11,7 @@
 //! The determinism guarantee the scheduler leans on: `suspend` captures
 //! the *complete* state ([`crate::guardian`]'s bit-identical contract),
 //! and stepping is bit-identical for any worker-lane count (`apr-exec`'s
-//! static-chunking contract), so a session preempted N times produces a
+//! determinism contract), so a session preempted N times produces a
 //! final state byte-identical to the same scenario run straight through.
 //!
 //! Membrane models and geometry callbacks are code, not state: `resume`

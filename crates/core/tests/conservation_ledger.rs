@@ -1,9 +1,8 @@
 //! Conservation-ledger integration: a clean APR campaign stays inside
 //! the default drift tolerances (the coarse↔fine coupling exchanges a
-//! little mass by design, but boundedly), and — under `fault-injection` —
-//! a mass leak that keeps every node numerically healthy still trips the
-//! guardian through the ledger's `ConservationDrift` issue and is healed
-//! by rollback.
+//! little mass by design, but boundedly), and a mass leak that keeps every
+//! node numerically healthy still trips the guardian through the ledger's
+//! `ConservationDrift` issue and is healed by rollback.
 
 use apr_core::{AprEngine, LedgerConfig};
 use apr_coupling::fine_tau;
@@ -66,7 +65,6 @@ fn disarmed_engine_records_nothing() {
     assert!(eng.ledger.is_none(), "ledger is strictly opt-in");
 }
 
-#[cfg(feature = "fault-injection")]
 mod fault_injection {
     use super::*;
     use apr_core::Guardian;

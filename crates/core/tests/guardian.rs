@@ -1,8 +1,8 @@
 //! Robustness-layer integration tests: full-engine checkpoints are
 //! resume-identical (byte-for-byte, including across a window move),
-//! corruption is rejected with a typed error, and — under the
-//! `fault-injection` feature — an injected NaN trips the sentinel, rolls
-//! the campaign back, and the run still completes near the clean result.
+//! corruption is rejected with a typed error, and an injected NaN trips
+//! the sentinel, rolls the campaign back, and the run still completes near
+//! the clean result.
 
 use apr_cells::ContactParams;
 use apr_core::{restore_engine, save_engine, AprEngine};
@@ -221,7 +221,6 @@ fn missing_ctc_membrane_is_reported_not_panicked() {
     ));
 }
 
-#[cfg(feature = "fault-injection")]
 mod fault_injection {
     use super::*;
     use apr_core::Guardian;

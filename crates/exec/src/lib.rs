@@ -16,6 +16,12 @@
 //!    the floating-point association order is a function of the chunk
 //!    count alone.
 //!
+//! The lattice sweeps hand their chunks out differently: from a
+//! cost-balanced [`ChunkPlan`] through one shared claim cursor
+//! ([`ExecPool::par_for_guided`], [`GuidedScheduler`]). The layout is still
+//! the plan's alone and the kernels write disjointly, so which lane claims
+//! which chunk is unobservable and rule 2 holds unchanged.
+//!
 //! Write-conflicting accumulations need no rule of their own: the IBM force
 //! spread partitions its *output* into fixed z-slabs, each slab task walks
 //! the producers that touch it in input order, and the scatter is a
@@ -28,7 +34,7 @@
 //! ## Thread count selection
 //!
 //! The typed front door is `apr_kernels::RuntimeConfig::from_env`, which
-//! parses `APR_THREADS` (with `APR_KERNEL` / `APR_CHUNKING`) and installs
+//! parses `APR_THREADS` (with `APR_KERNEL`) and installs
 //! the result via [`set_threads`]. The lazily created global pool still
 //! falls back to a lenient `APR_THREADS` read (unset or `0` → all
 //! available cores). Process-wide consumers go through the global pool:

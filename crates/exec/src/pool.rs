@@ -403,37 +403,6 @@ impl ExecPool {
         });
     }
 
-    /// Deterministic fused-region dispatch: each lane receives its **entire
-    /// contiguous run** of `0..len` in a single `f(lane, range)` call, with
-    /// run boundaries aligned to `chunk_len` (the same static layout as
-    /// [`Self::par_for_ranges`], so the assignment depends only on `len`,
-    /// `chunk_len` and the lane count). One call per lane means a kernel can
-    /// carry per-node state across the whole run (e.g. swap-streaming's
-    /// "has my partner been processed yet?" test against `range.start`)
-    /// instead of paying a dispatch per chunk. Lanes with no chunks are not
-    /// called.
-    pub fn par_for_lane_runs(
-        &self,
-        len: usize,
-        chunk_len: usize,
-        f: impl Fn(usize, Range<usize>) + Sync,
-    ) {
-        if len == 0 {
-            return;
-        }
-        let chunk_len = chunk_len.max(1);
-        let chunks = len.div_ceil(chunk_len);
-        self.run(&|lane| {
-            let cr = lane_chunks(chunks, self.threads, lane);
-            if cr.is_empty() {
-                return;
-            }
-            let start = cr.start * chunk_len;
-            let end = (cr.end * chunk_len).min(len);
-            f(lane, start..end);
-        });
-    }
-
     /// Deterministic parallel iteration over disjoint mutable chunks of a
     /// slice: `f(chunk_index, chunk)` for every `chunk_len`-sized chunk.
     pub fn par_for_chunks_mut<T: Send>(
@@ -535,8 +504,8 @@ impl ExecPool {
             return;
         }
         let sched = GuidedScheduler::guided(plan);
-        self.run(&|lane| {
-            while let Some((chunk, range)) = sched.claim(lane) {
+        self.run(&|_| {
+            while let Some((chunk, range)) = sched.claim() {
                 f(chunk, range);
             }
         });
@@ -628,8 +597,7 @@ impl ChunkPlan {
 }
 
 /// Claim-based chunk scheduler for a single parallel region: lanes [claim]
-/// chunks (from a shared cursor in guided mode, or from a fixed per-lane
-/// pre-partition in static mode), [mark them done][Self::mark_done] as
+/// chunks from a shared cursor, [mark them done][Self::mark_done] as
 /// completion milestones, and may then [claim drain work][Self::claim_drain]
 /// over completed chunks — the mechanism the fused kernels use to overlap
 /// their deferred cross-chunk swap drain with the tail of the sweep.
@@ -637,19 +605,11 @@ impl ChunkPlan {
 /// [claim]: Self::claim
 pub struct GuidedScheduler<'a> {
     plan: &'a ChunkPlan,
-    mode: SchedMode,
+    cursor: AtomicUsize,
     /// `done[c]` is set (Release) after chunk `c`'s sweep completes;
     /// readers Acquire-load it before touching anything the sweep wrote.
     done: Vec<AtomicBool>,
     drain: AtomicUsize,
-}
-
-enum SchedMode {
-    /// Shared cursor: chunks go to whichever lane asks next.
-    Guided { cursor: AtomicUsize },
-    /// PR-3-style static pre-partition: lane `l` owns
-    /// `lane_chunks(chunks, lanes, l)`.
-    Static { pos: Vec<AtomicUsize>, lanes: usize },
 }
 
 impl<'a> GuidedScheduler<'a> {
@@ -657,27 +617,8 @@ impl<'a> GuidedScheduler<'a> {
     pub fn guided(plan: &'a ChunkPlan) -> Self {
         Self {
             plan,
-            mode: SchedMode::Guided {
-                cursor: AtomicUsize::new(0),
-            },
+            cursor: AtomicUsize::new(0),
             done: (0..plan.chunks()).map(|_| AtomicBool::new(false)).collect(),
-            drain: AtomicUsize::new(0),
-        }
-    }
-
-    /// Scheduler with the static contiguous per-lane pre-partition.
-    pub fn preassigned(plan: &'a ChunkPlan, lanes: usize) -> Self {
-        let lanes = lanes.max(1);
-        let chunks = plan.chunks();
-        Self {
-            plan,
-            mode: SchedMode::Static {
-                pos: (0..lanes)
-                    .map(|l| AtomicUsize::new(lane_chunks(chunks, lanes, l).start))
-                    .collect(),
-                lanes,
-            },
-            done: (0..chunks).map(|_| AtomicBool::new(false)).collect(),
             drain: AtomicUsize::new(0),
         }
     }
@@ -692,21 +633,11 @@ impl<'a> GuidedScheduler<'a> {
         self.plan.chunk_of(index)
     }
 
-    /// Claim the next chunk for `lane`; `None` when the lane's work (its
-    /// pre-partition, or the shared cursor) is exhausted.
-    pub fn claim(&self, lane: usize) -> Option<(usize, Range<usize>)> {
-        let c = match &self.mode {
-            SchedMode::Guided { cursor } => {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                (c < self.plan.chunks()).then_some(c)?
-            }
-            SchedMode::Static { pos, lanes } => {
-                let own = lane_chunks(self.plan.chunks(), *lanes, lane % *lanes);
-                let c = pos[lane % *lanes].fetch_add(1, Ordering::Relaxed);
-                (c < own.end).then_some(c)?
-            }
-        };
-        Some((c, self.plan.range(c)))
+    /// Claim the next chunk from the shared cursor; `None` once every
+    /// chunk has been handed out.
+    pub fn claim(&self) -> Option<(usize, Range<usize>)> {
+        let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (c < self.plan.chunks()).then(|| (c, self.plan.range(c)))
     }
 
     /// Publish chunk `c` as complete (Release: everything the sweep wrote
@@ -877,33 +808,6 @@ mod tests {
                 assert_eq!(*v, i / 10 + 1, "index {i}");
             }
         }
-    }
-
-    #[test]
-    fn lane_runs_partition_the_index_space() {
-        // Every index covered exactly once, runs are chunk-aligned and
-        // contiguous per lane, and each lane is called at most once.
-        for threads in [1, 2, 3, 8, 13] {
-            let pool = ExecPool::new(threads);
-            let mut cover = vec![0usize; 103];
-            let slots = UnsafeSlice::new(&mut cover);
-            let calls: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-            pool.par_for_lane_runs(103, 10, |lane, range| {
-                calls[lane].fetch_add(1, Ordering::SeqCst);
-                assert_eq!(range.start % 10, 0, "run start is chunk-aligned");
-                for i in range {
-                    // SAFETY: asserting disjointness is the point; overlap
-                    // would show up as a double-count below.
-                    unsafe { slots.slice_mut(i, 1)[0] += 1 };
-                }
-            });
-            assert!(cover.iter().all(|&c| c == 1), "{threads} threads");
-            for c in &calls {
-                assert!(c.load(Ordering::SeqCst) <= 1);
-            }
-        }
-        let pool = ExecPool::new(2);
-        pool.par_for_lane_runs(0, 4, |_, _| panic!("must not run for len 0"));
     }
 
     #[test]
@@ -1078,26 +982,20 @@ mod tests {
     #[test]
     fn guided_scheduler_hands_out_claims_and_drains_once() {
         let plan = ChunkPlan::fixed(40, 10);
-        for sched in [
-            GuidedScheduler::guided(&plan),
-            GuidedScheduler::preassigned(&plan, 3),
-        ] {
-            let mut seen = vec![0; plan.chunks()];
-            for lane in 0..3 {
-                while let Some((c, range)) = sched.claim(lane) {
-                    assert_eq!(range, plan.range(c));
-                    seen[c] += 1;
-                    sched.mark_done(c);
-                }
-            }
-            assert!(seen.iter().all(|&s| s == 1), "each chunk claimed once");
-            let mut drained = vec![0; plan.chunks()];
-            while let Some(c) = sched.claim_drain() {
-                assert!(sched.is_done(c));
-                drained[c] += 1;
-            }
-            assert!(drained.iter().all(|&d| d == 1));
+        let sched = GuidedScheduler::guided(&plan);
+        let mut seen = vec![0; plan.chunks()];
+        while let Some((c, range)) = sched.claim() {
+            assert_eq!(range, plan.range(c));
+            seen[c] += 1;
+            sched.mark_done(c);
         }
+        assert!(seen.iter().all(|&s| s == 1), "each chunk claimed once");
+        let mut drained = vec![0; plan.chunks()];
+        while let Some(c) = sched.claim_drain() {
+            assert!(sched.is_done(c));
+            drained[c] += 1;
+        }
+        assert!(drained.iter().all(|&d| d == 1));
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0, data)
 }
 
-/// Minimal splitmix64 step — the deterministic generator behind the
-/// seeded fault/chaos schedules here and in `apr-parallel`. Kept
+/// Minimal splitmix64 step — the deterministic generator behind
+/// `apr-parallel`'s seeded chaos schedules. Kept
 /// dependency-free on purpose: a chaos run must be reproducible from the
 /// single logged seed on any build.
 pub fn splitmix64(state: &mut u64) -> u64 {

@@ -1,12 +1,13 @@
-//! Deterministic fault injection (feature `fault-injection` only).
+//! Deterministic fault injection.
 //!
 //! Recovery code that is never exercised is broken code. This module lets
 //! tests schedule precise corruptions — a NaN in a membrane force, a
-//! corrupted lattice distribution, a dropped halo exchange — at chosen
-//! steps, so the sentinel → rollback → retry path runs end to end under
-//! CI. Faults are **one-shot**: once taken they do not re-fire, so a
-//! post-rollback retry of the same steps proceeds clean, exactly like a
-//! transient hardware fault.
+//! corrupted lattice distribution, a mass leak — at chosen steps, so the
+//! sentinel → rollback → retry path runs end to end in every
+//! `cargo test`. An empty plan (the default) injects nothing. Faults are
+//! **one-shot**: once taken they do not re-fire, so a post-rollback retry
+//! of the same steps proceeds clean, exactly like a transient hardware
+//! fault.
 
 /// What to corrupt. (Halo-message drops are scheduled by
 /// `apr_parallel::ChaosPlan` — message loss is a property of the
@@ -61,45 +62,10 @@ pub struct FaultPlan {
     fired: usize,
 }
 
-use crate::codec::splitmix64;
-
 impl FaultPlan {
     /// New empty plan (injects nothing).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Deterministically derive a chaos schedule from a single seed, so a
-    /// failing chaos run is reproducible from one logged `u64`.
-    ///
-    /// The schedule places `count` faults at distinct steps drawn from
-    /// `1..=max_step`, alternating membrane-NaN and distribution-corrupt
-    /// kinds, with cell/vertex/node indices bounded by `cells`/`nodes`.
-    /// The same `(seed, max_step, count, cells, nodes)` always yields the
-    /// same plan, bit for bit.
-    pub fn from_seed(seed: u64, max_step: u64, count: usize, cells: usize, nodes: usize) -> Self {
-        let mut plan = Self::new();
-        let mut state = seed;
-        let mut used = std::collections::BTreeSet::new();
-        for k in 0..count {
-            let mut step = 1 + splitmix64(&mut state) % max_step.max(1);
-            while !used.insert(step) {
-                step = 1 + splitmix64(&mut state) % max_step.max(1);
-            }
-            let kind = if k % 2 == 0 && cells > 0 {
-                FaultKind::MembraneNan {
-                    cell_index: (splitmix64(&mut state) % cells.max(1) as u64) as usize,
-                    vertex: (splitmix64(&mut state) % 8) as usize,
-                }
-            } else {
-                FaultKind::DistributionCorrupt {
-                    node: (splitmix64(&mut state) % nodes.max(1) as u64) as usize,
-                    magnitude: 1e6 + (splitmix64(&mut state) % 1000) as f64 * 1e6,
-                }
-            };
-            plan.schedule(step, kind);
-        }
-        plan
     }
 
     /// Schedule a fault.
@@ -139,29 +105,6 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seeded_plans_are_reproducible_and_distinct() {
-        let a = FaultPlan::from_seed(42, 100, 6, 10, 4096);
-        let b = FaultPlan::from_seed(42, 100, 6, 10, 4096);
-        assert_eq!(a.faults, b.faults, "same seed must give the same plan");
-        let c = FaultPlan::from_seed(43, 100, 6, 10, 4096);
-        assert_ne!(a.faults, c.faults, "different seeds must differ");
-        assert_eq!(a.pending_count(), 6);
-        // All steps distinct and within range; all indices in bounds.
-        let mut steps: Vec<u64> = a.faults.iter().map(|f| f.step).collect();
-        steps.sort_unstable();
-        steps.dedup();
-        assert_eq!(steps.len(), 6);
-        for f in &a.faults {
-            assert!((1..=100).contains(&f.step));
-            match f.kind {
-                FaultKind::MembraneNan { cell_index, .. } => assert!(cell_index < 10),
-                FaultKind::DistributionCorrupt { node, .. } => assert!(node < 4096),
-                FaultKind::MassLeak { node, .. } => assert!(node < 4096),
-            }
-        }
-    }
 
     #[test]
     fn faults_fire_once_at_their_step() {

@@ -14,8 +14,8 @@
 //!   scheduler's preempt hot path, directory store for durable campaigns.
 //! * [`recovery`] — rollback-and-retry policy (reseed, optional τ
 //!   tightening via Eq. 7) and a structured [`RecoveryLog`].
-//! * [`fault`] *(feature `fault-injection`)* — deterministic one-shot
-//!   fault schedules for exercising the recovery path in tests.
+//! * [`fault`] — deterministic one-shot fault schedules for exercising the
+//!   recovery path in tests.
 //!
 //! The engine-specific serialization (full `AprEngine`/`EfsiEngine`
 //! state) lives in `apr-core::guardian`, built on these primitives.
@@ -23,7 +23,6 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod error;
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod health;
 pub mod recovery;
@@ -33,7 +32,6 @@ pub mod store;
 pub use checkpoint::{read_file, write_atomic, CheckpointReader, CheckpointWriter, FORMAT_VERSION};
 pub use codec::{crc32, splitmix64, ByteReader, ByteWriter};
 pub use error::GuardError;
-#[cfg(feature = "fault-injection")]
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use health::{
     check_hematocrit, check_lattice, check_pool, HealthIssue, HealthReport, SentinelConfig,

@@ -21,14 +21,11 @@
 //! run inside a *single* pool dispatch. The node space is cut into
 //! fine-grained chunks costed by **fluid-node count** per z-plane
 //! ([`crate::adjacency::AdjacencyTable::fluid_per_plane`] through
-//! [`apr_exec::ChunkPlan::from_costs`]), and lanes claim chunks through a
-//! [`apr_exec::GuidedScheduler`]: either from a shared cursor in fixed
-//! ascending order ([`crate::ChunkingPolicy::Guided`], the default) or
-//! from the legacy contiguous per-lane pre-partition
-//! ([`crate::ChunkingPolicy::Static`], kept for A/B runs). Within a chunk
-//! each node collides and then executes its ops immediately; a swap whose
-//! partner lies outside the already-collided part of the chunk goes into a
-//! **per-chunk** deferral list.
+//! [`apr_exec::ChunkPlan::from_costs`]), and lanes claim chunks from the
+//! shared cursor of an [`apr_exec::GuidedScheduler`] in fixed ascending
+//! order. Within a chunk each node collides and then executes its ops
+//! immediately; a swap whose partner lies outside the already-collided
+//! part of the chunk goes into a **per-chunk** deferral list.
 //!
 //! Lanes that run out of chunks don't park at the barrier: they claim
 //! completed chunks from a drain cursor and execute every deferred swap
@@ -43,8 +40,8 @@
 //! `mark_done` / Acquire `is_done` pair) and exactly once (inline, xor
 //! removed from its list by the one drain lane holding that chunk, xor in
 //! the post-barrier sweep). The claim interleaving is therefore
-//! unobservable in the output — bit-identical for any thread count, any
-//! chunking policy, and any scheduling accident.
+//! unobservable in the output — bit-identical for any thread count and any
+//! scheduling accident.
 //!
 //! Versus the reference backend this halves distribution-array memory
 //! traffic (no second array to write and swap), eliminates the `n·19·8`-byte
@@ -66,8 +63,8 @@ use crate::adjacency::{
 };
 use crate::d3q19::{OPPOSITE, Q};
 use crate::reference::{array, bgk_post_collision, tau_at};
-use crate::view::{stream_grain, LatticeView};
-use crate::{ChunkingPolicy, KernelBackend, KernelKind};
+use crate::view::LatticeView;
+use crate::{KernelBackend, KernelKind};
 use apr_exec::{ChunkPlan, GuidedScheduler, UnsafeSlice};
 
 /// Deferred-swap encoding: `(node << 5) | direction` (19 < 2⁵ directions).
@@ -223,18 +220,12 @@ fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64
     }
 }
 
-/// The fused-step driver: claim chunks through a [`GuidedScheduler`]
-/// (guided cursor or static pre-partition per `chunking`), run
-/// [`scalar_fused_chunk`] once per chunk, overlap the deferred-swap drain
-/// with the sweep tail, and finish leftovers sequentially after the
-/// barrier. Cross-chunk swaps sit in the chunk's deferral list encoded as
-/// `(node << 5) | dir`.
-fn run_fused_step(
-    ctx: &FusedCtx,
-    chunking: ChunkingPolicy,
-    defer: &mut Vec<Vec<u64>>,
-    plan: &ChunkPlan,
-) {
+/// The fused-step driver: claim chunks from a [`GuidedScheduler`]'s
+/// shared cursor, run [`scalar_fused_chunk`] once per chunk, overlap the
+/// deferred-swap drain with the sweep tail, and finish leftovers
+/// sequentially after the barrier. Cross-chunk swaps sit in the chunk's
+/// deferral list encoded as `(node << 5) | dir`.
+fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
     if plan.is_empty() {
         return;
     }
@@ -247,14 +238,11 @@ fn run_fused_step(
         d.clear();
     }
     let table = ctx.table;
-    let sched = match chunking {
-        ChunkingPolicy::Guided => GuidedScheduler::guided(plan),
-        ChunkingPolicy::Static => GuidedScheduler::preassigned(plan, pool.threads()),
-    };
+    let sched = GuidedScheduler::guided(plan);
     let pending = UnsafeSlice::new(defer.as_mut_slice());
     let overlapped = AtomicUsize::new(0);
-    pool.run(&|lane| {
-        while let Some((c, range)) = sched.claim(lane) {
+    pool.run(&|_| {
+        while let Some((c, range)) = sched.claim() {
             // SAFETY: every chunk is claimed exactly once, so its
             // deferral list has one owner here.
             let list = unsafe { &mut pending.slice_mut(c, 1)[0] };
@@ -401,17 +389,14 @@ impl KernelBackend for FusedSwapKernel {
         KernelKind::FusedSwap
     }
 
-    /// Collision half over the whole domain with reversed stores,
-    /// dispatched per the view's chunking policy.
+    /// Collision half over the whole domain with reversed stores, over
+    /// the guided cost-balanced plan.
     fn collide(&mut self, view: &mut LatticeView) {
         let Self { table, plan, .. } = self;
         let pool = apr_exec::current();
-        let plane = view.nx * view.ny;
-        let plan = costed_plan(table, plane, plan, pool.threads());
-        let n = view.node_count();
-        let chunking = view.chunking;
+        let plan = costed_plan(table, view.nx * view.ny, plan, pool.threads());
         let ctx = FusedCtx::new(view, table);
-        let body = |range: Range<usize>| {
+        pool.par_for_guided(plan, |_, range| {
             for node in range {
                 if ctx.table.kind[node] == NodeKind::Skip {
                     continue;
@@ -420,11 +405,7 @@ impl KernelBackend for FusedSwapKernel {
                 // by exactly one lane.
                 unsafe { collide_node_reversed(&ctx, node) };
             }
-        };
-        match chunking {
-            ChunkingPolicy::Guided => pool.par_for_guided(plan, |_, range| body(range)),
-            ChunkingPolicy::Static => pool.par_for_ranges(n, plane, |_, range| body(range)),
-        }
+        });
         if apr_telemetry::is_enabled() {
             apr_telemetry::gauge_set(
                 "exec.lattice.collide.utilization",
@@ -435,28 +416,20 @@ impl KernelBackend for FusedSwapKernel {
 
     /// Streaming half for reversed-stored populations: replay the op table
     /// over the whole domain (every node has collided, so all ops run
-    /// inline). Chunk hand-out follows the view's chunking policy; either
-    /// way the values are slot-local and order-free.
+    /// inline), over the guided cost-balanced plan. The values are
+    /// slot-local and order-free.
     fn stream(&mut self, view: &mut LatticeView) {
         let Self { table, plan, .. } = self;
         let pool = apr_exec::current();
-        let plane = view.nx * view.ny;
-        let plan = costed_plan(table, plane, plan, pool.threads());
-        let n = view.node_count();
+        let plan = costed_plan(table, view.nx * view.ny, plan, pool.threads());
         let rho: &[f64] = view.rho;
         let f = UnsafeSlice::new(view.f.as_mut_slice());
-        let grain = stream_grain(view.nz, pool.threads());
-        let body = |range: Range<usize>| replay_range(table, &f, rho, range);
-        match view.chunking {
-            ChunkingPolicy::Guided => pool.par_for_guided(plan, |_, range| body(range)),
-            ChunkingPolicy::Static => pool.par_for_ranges(n, plane * grain, |_, range| body(range)),
-        }
+        pool.par_for_guided(plan, |_, range| replay_range(table, &f, rho, range));
         if apr_telemetry::is_enabled() {
             apr_telemetry::gauge_set(
                 "exec.lattice.stream.utilization",
                 pool.last_run_stats().utilization(),
             );
-            apr_telemetry::gauge_set("lattice.stream.grain", grain as f64);
         }
     }
 
@@ -466,9 +439,8 @@ impl KernelBackend for FusedSwapKernel {
         let Self { table, defer, plan } = self;
         let threads = apr_exec::current().threads();
         let plan = costed_plan(table, view.nx * view.ny, plan, threads);
-        let chunking = view.chunking;
         let ctx = FusedCtx::new(view, table);
-        run_fused_step(&ctx, chunking, defer, plan);
+        run_fused_step(&ctx, defer, plan);
     }
 
     fn reversed_between_halves(&self) -> bool {

@@ -14,8 +14,7 @@
 //!   into a single parallel region — no second distribution array, one
 //!   pool barrier per step instead of two, bit-identical results.
 //! - [`runtime`]: the unified [`RuntimeConfig`] surface — one typed
-//!   parser for `APR_KERNEL` / `APR_THREADS` / `APR_CHUNKING`, installed
-//!   process-wide.
+//!   parser for `APR_KERNEL` / `APR_THREADS`, installed process-wide.
 //!
 //! [`FusedSwapKernel`] is the one production kernel; [`ReferenceKernel`]
 //! is the oracle tests compare it against. Both implement
@@ -32,7 +31,7 @@ mod view;
 pub use adjacency::{neighbor_index, AdjacencyTable, NodeKind};
 pub use fused::FusedSwapKernel;
 pub use reference::ReferenceKernel;
-pub use runtime::{ChunkingPolicy, RuntimeConfig, RuntimeConfigError};
+pub use runtime::{RuntimeConfig, RuntimeConfigError};
 pub use view::{stream_grain, LatticeView, NodeClass};
 
 /// Selectable kernel backend variants.
@@ -80,7 +79,7 @@ impl std::fmt::Display for KernelKind {
 ///   order, declared via [`Self::reversed_between_halves`] so the solver
 ///   can translate its accessors.
 /// - **Determinism**: results never depend on the `apr-exec` lane count
-///   or on the chunking policy in effect.
+///   or on which lane claims which chunk.
 pub trait KernelBackend {
     /// Which variant this is.
     fn kind(&self) -> KernelKind;

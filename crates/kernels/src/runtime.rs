@@ -1,52 +1,22 @@
 //! Unified runtime configuration: one typed front door for everything
 //! that used to be scattered `std::env` reads.
 //!
-//! [`RuntimeConfig`] bundles the three knobs that shape a run — kernel
-//! backend, worker thread count and chunking policy — and
-//! [`RuntimeConfig::from_env`] is the *single* parser for `APR_KERNEL` /
-//! `APR_THREADS` / `APR_CHUNKING`, returning a typed
+//! [`RuntimeConfig`] bundles the two knobs that shape a run — kernel
+//! backend and worker thread count — and [`RuntimeConfig::from_env`] is
+//! the *single* parser for `APR_KERNEL` / `APR_THREADS`, returning a typed
 //! [`RuntimeConfigError`] instead of panicking on a typo.
 //! [`RuntimeConfig::install`] applies the parsed config process-wide: it
-//! swaps the global worker pool and records the kernel/chunking defaults
-//! that `apr-lattice` consults when a solver has no explicit override.
+//! swaps the global worker pool and records the kernel default that
+//! `apr-lattice` consults when a solver has no explicit override.
 //!
 //! Lattice-level consumers read the installed state through
-//! [`kernel_override`] and [`default_chunking`]; when nothing was
-//! installed those fall back to a lenient env read so plain
-//! `APR_KERNEL=reference cargo test` keeps working without any setup call.
+//! [`kernel_override`]; when nothing was installed the selector falls back
+//! to a lenient env read so plain `APR_KERNEL=reference cargo test` keeps
+//! working without any setup call.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::KernelKind;
-
-/// How a parallel sweep hands chunks to worker lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkingPolicy {
-    /// Contiguous chunk runs pre-assigned per lane (the pre-guided
-    /// behaviour). Kept for A/B measurement and as a fallback.
-    Static,
-    /// Fluid-node-costed chunks claimed from a shared cursor in a fixed
-    /// order; bit-identical to `Static` by construction (disjoint writes,
-    /// order-free swaps) but immune to per-lane cost skew.
-    #[default]
-    Guided,
-}
-
-impl ChunkingPolicy {
-    /// Stable lowercase name, accepted back by the env parser.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ChunkingPolicy::Static => "static",
-            ChunkingPolicy::Guided => "guided",
-        }
-    }
-}
-
-impl std::fmt::Display for ChunkingPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// A malformed runtime environment variable. Each variant carries the
 /// rejected value verbatim.
@@ -56,8 +26,6 @@ pub enum RuntimeConfigError {
     Kernel(String),
     /// `APR_THREADS` was not a non-negative integer.
     Threads(String),
-    /// `APR_CHUNKING` was neither `static` nor `guided`.
-    Chunking(String),
 }
 
 impl std::fmt::Display for RuntimeConfigError {
@@ -70,9 +38,6 @@ impl std::fmt::Display for RuntimeConfigError {
                 f,
                 "APR_THREADS={v:?}: expected a non-negative integer (0 = all cores)"
             ),
-            RuntimeConfigError::Chunking(v) => {
-                write!(f, "APR_CHUNKING={v:?}: expected static or guided")
-            }
         }
     }
 }
@@ -87,33 +52,30 @@ pub struct RuntimeConfig {
     pub kernel: Option<KernelKind>,
     /// Worker lanes (`0` = one per available core).
     pub threads: usize,
-    /// Chunk hand-out policy for parallel sweeps.
-    pub chunking: ChunkingPolicy,
 }
 
 impl RuntimeConfig {
-    /// Parse the full runtime environment (`APR_KERNEL`, `APR_THREADS`,
-    /// `APR_CHUNKING`). Unset variables take their defaults; a
-    /// set-but-malformed variable is a typed error, never a panic and
-    /// never silently ignored.
+    /// Parse the full runtime environment (`APR_KERNEL`, `APR_THREADS`).
+    /// Unset variables take their defaults; a set-but-malformed variable
+    /// is a typed error, never a panic and never silently ignored.
     pub fn from_env() -> Result<Self, RuntimeConfigError> {
         let get = |k: &str| std::env::var(k).ok();
         Self::parse(
             get("APR_KERNEL").as_deref(),
             get("APR_THREADS").as_deref(),
-            get("APR_CHUNKING").as_deref(),
+            None,
             None,
         )
     }
 
     /// The pure parser behind [`RuntimeConfig::from_env`], separated so
     /// tests can exercise it without mutating process env. `None` means
-    /// the variable was unset. The fourth parameter is ignored: it stays
-    /// only because `benchmark/` pins this signature.
+    /// the variable was unset. The third and fourth parameters are
+    /// ignored: they stay only because `benchmark/` pins this signature.
     pub fn parse(
         kernel: Option<&str>,
         threads: Option<&str>,
-        chunking: Option<&str>,
+        _chunking: Option<&str>,
         _probe: Option<&str>,
     ) -> Result<Self, RuntimeConfigError> {
         let mut cfg = Self::default();
@@ -128,9 +90,6 @@ impl RuntimeConfig {
                 t.parse::<usize>()
                     .map_err(|_| RuntimeConfigError::Threads(v.to_string()))?
             };
-        }
-        if let Some(v) = chunking {
-            cfg.chunking = parse_chunking(v).map_err(RuntimeConfigError::Chunking)?;
         }
         Ok(cfg)
     }
@@ -147,25 +106,18 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the chunking policy (builder style).
-    pub fn with_chunking(mut self, chunking: ChunkingPolicy) -> Self {
-        self.chunking = chunking;
-        self
-    }
-
     /// Does nothing: it stays only because `benchmark/` pins this call.
     pub fn with_probe(self, _: bool) -> Self {
         self
     }
 
     /// Apply this config process-wide: swap the global worker pool to
-    /// [`RuntimeConfig::threads`] lanes and record the kernel / chunking
-    /// defaults consulted by lattices without explicit overrides.
+    /// [`RuntimeConfig::threads`] lanes and record the kernel default
+    /// consulted by lattices without an explicit override.
     /// Later installs fully replace earlier ones.
     pub fn install(&self) {
         apr_exec::set_threads(self.threads);
         KERNEL_OVERRIDE.store(encode_kernel(self.kernel), Ordering::Release);
-        CHUNKING.store(encode_chunking(Some(self.chunking)), Ordering::Release);
     }
 }
 
@@ -178,32 +130,15 @@ fn parse_kernel(v: &str) -> Result<Option<KernelKind>, String> {
     }
 }
 
-fn parse_chunking(v: &str) -> Result<ChunkingPolicy, String> {
-    match v.trim() {
-        "" | "guided" => Ok(ChunkingPolicy::Guided),
-        "static" => Ok(ChunkingPolicy::Static),
-        _ => Err(v.to_string()),
-    }
-}
-
-// Installed process defaults. Encoding: 0 = not installed (fall back to a
+// Installed process default. Encoding: 0 = not installed (fall back to a
 // lenient env read), otherwise value + 1 in the type's own order.
 static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static CHUNKING: AtomicU8 = AtomicU8::new(0);
 
 fn encode_kernel(k: Option<KernelKind>) -> u8 {
     match k {
         None => 1, // installed-as-auto still overrides the env
         Some(KernelKind::Reference) => 2,
         Some(KernelKind::FusedSwap) => 3,
-    }
-}
-
-fn encode_chunking(c: Option<ChunkingPolicy>) -> u8 {
-    match c {
-        None => 0,
-        Some(ChunkingPolicy::Static) => 1,
-        Some(ChunkingPolicy::Guided) => 2,
     }
 }
 
@@ -226,21 +161,6 @@ pub fn kernel_pinned() -> bool {
     KERNEL_OVERRIDE.load(Ordering::Acquire) != 0
 }
 
-/// The chunking policy lattices use when none was set on the solver:
-/// the installed config's policy, else a lenient `APR_CHUNKING` read
-/// (malformed values fall back to the default rather than erroring —
-/// strict validation belongs to [`RuntimeConfig::from_env`]).
-pub fn default_chunking() -> ChunkingPolicy {
-    match CHUNKING.load(Ordering::Acquire) {
-        1 => ChunkingPolicy::Static,
-        2 => ChunkingPolicy::Guided,
-        _ => std::env::var("APR_CHUNKING")
-            .ok()
-            .and_then(|v| parse_chunking(&v).ok())
-            .unwrap_or_default(),
-    }
-}
-
 /// Non-panicking `APR_KERNEL` read for the selector: `Ok(None)` when
 /// unset or `auto`, a typed error on garbage.
 pub fn env_kernel() -> Result<Option<KernelKind>, RuntimeConfigError> {
@@ -260,7 +180,6 @@ mod tests {
         assert_eq!(cfg, RuntimeConfig::default());
         assert_eq!(cfg.kernel, None);
         assert_eq!(cfg.threads, 0);
-        assert_eq!(cfg.chunking, ChunkingPolicy::Guided);
     }
 
     #[test]
@@ -293,10 +212,6 @@ mod tests {
             RuntimeConfig::parse(None, Some("-3"), None, None),
             Err(RuntimeConfigError::Threads("-3".into()))
         );
-        assert_eq!(
-            RuntimeConfig::parse(None, None, Some("dynamic"), None),
-            Err(RuntimeConfigError::Chunking("dynamic".into()))
-        );
         // Errors render the offending variable and value.
         let msg = RuntimeConfig::parse(Some("fast"), None, None, None)
             .unwrap_err()
@@ -305,31 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_threads_chunking() {
-        let cfg = RuntimeConfig::parse(None, Some("4"), Some("static"), None).unwrap();
+    fn parse_threads() {
+        let cfg = RuntimeConfig::parse(None, Some("4"), None, None).unwrap();
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.chunking, ChunkingPolicy::Static);
-        let cfg = RuntimeConfig::parse(None, Some(" 0 "), Some("guided"), None).unwrap();
+        let cfg = RuntimeConfig::parse(None, Some(" 0 "), None, None).unwrap();
         assert_eq!(cfg.threads, 0);
-        assert_eq!(cfg.chunking, ChunkingPolicy::Guided);
     }
 
     #[test]
     fn builder_style_setters_compose() {
         let cfg = RuntimeConfig::default()
             .with_kernel(KernelKind::Reference)
-            .with_threads(2)
-            .with_chunking(ChunkingPolicy::Static);
+            .with_threads(2);
         assert_eq!(cfg.kernel, Some(KernelKind::Reference));
         assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.chunking, ChunkingPolicy::Static);
-    }
-
-    #[test]
-    fn chunking_policy_names_round_trip() {
-        for p in [ChunkingPolicy::Static, ChunkingPolicy::Guided] {
-            assert_eq!(parse_chunking(p.as_str()), Ok(p));
-            assert_eq!(p.to_string(), p.as_str());
-        }
     }
 }

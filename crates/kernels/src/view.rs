@@ -56,10 +56,6 @@ pub struct LatticeView<'a> {
     pub force: &'a [f64],
     /// `(node, wall velocity)` for every moving-wall node, sorted by node.
     pub moving_walls: &'a [(usize, [f64; 3])],
-    /// Chunk hand-out policy for this pass (resolved by the solver from
-    /// its override or the installed [`crate::RuntimeConfig`]). Never
-    /// affects results — only which lane computes what, when.
-    pub chunking: crate::ChunkingPolicy,
 }
 
 impl LatticeView<'_> {

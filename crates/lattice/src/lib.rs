@@ -9,7 +9,6 @@
 //! the APR method are instances of [`Lattice`] with different relaxation
 //! times related by the paper's Eq. 7 (see `apr-coupling`).
 
-pub mod checkpoint;
 pub mod d3q19;
 pub mod kernel_select;
 pub mod mrt;
@@ -18,9 +17,8 @@ pub mod setup;
 pub mod solver;
 
 pub use apr_kernels::{
-    neighbor_index, ChunkingPolicy, KernelBackend, KernelKind, RuntimeConfig, RuntimeConfigError,
+    neighbor_index, KernelBackend, KernelKind, RuntimeConfig, RuntimeConfigError,
 };
-pub use checkpoint::{load_state, save_state, CheckpointError};
 pub use d3q19::{
     equilibrium, equilibrium_all, lattice_viscosity_from_tau, tau_from_lattice_viscosity, C, CS2,
     OPPOSITE, Q, W,

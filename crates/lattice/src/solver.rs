@@ -8,14 +8,12 @@
 //! and [`Lattice`] delegates each (half-)step to a selected backend — the
 //! in-place fused [`KernelKind::FusedSwap`] production path or the verbatim
 //! two-pass [`KernelKind::Reference`] oracle. Both run on the deterministic
-//! `apr-exec` pool and produce bit-identical results for any `APR_THREADS`,
-//! either backend, and any [`ChunkingPolicy`].
+//! `apr-exec` pool and produce bit-identical results for any `APR_THREADS`
+//! and either backend.
 
 use crate::d3q19::{equilibrium_all, lattice_viscosity_from_tau, moments, OPPOSITE, Q};
 use crate::kernel_select;
-use apr_kernels::{
-    ChunkingPolicy, FusedSwapKernel, KernelBackend, KernelKind, LatticeView, ReferenceKernel,
-};
+use apr_kernels::{FusedSwapKernel, KernelBackend, KernelKind, LatticeView, ReferenceKernel};
 use std::collections::HashMap;
 
 pub use apr_kernels::NodeClass;
@@ -122,10 +120,6 @@ pub struct Lattice {
     steps_taken: u64,
     /// Requested kernel; `None` defers to the process-wide default.
     kernel_choice: Option<KernelKind>,
-    /// Requested chunking policy; `None` defers to the installed
-    /// [`apr_kernels::RuntimeConfig`] (or `APR_CHUNKING`). Never affects
-    /// the produced numbers.
-    chunking: Option<ChunkingPolicy>,
     /// The running backend (built lazily, rebuilt on geometry changes).
     backend: Option<Backend>,
     /// True while fluid-node distributions are stored direction-reversed
@@ -173,7 +167,6 @@ impl Lattice {
             pending_stream: false,
             steps_taken: 0,
             kernel_choice: None,
-            chunking: None,
             backend: None,
             swap_parity: false,
             geometry_rev: 0,
@@ -562,21 +555,6 @@ impl Lattice {
         }
     }
 
-    /// Select the chunking policy: `Some(policy)` forces it for this
-    /// lattice, `None` defers to the installed
-    /// [`apr_kernels::RuntimeConfig`] (or `APR_CHUNKING`). Safe to change
-    /// at any time — the policy only shapes lane scheduling, never the
-    /// produced numbers.
-    pub fn set_chunking(&mut self, chunking: Option<ChunkingPolicy>) {
-        self.chunking = chunking;
-    }
-
-    /// The chunking policy this lattice resolves to right now.
-    pub fn chunking(&self) -> ChunkingPolicy {
-        self.chunking
-            .unwrap_or_else(apr_kernels::runtime::default_chunking)
-    }
-
     /// True between `advance(Collide)` and `advance(Stream)`.
     #[inline]
     pub fn mid_step(&self) -> bool {
@@ -687,9 +665,6 @@ impl Lattice {
             vel: &mut self.vel,
             force: &self.force,
             moving_walls: &self.moving_walls,
-            chunking: self
-                .chunking
-                .unwrap_or_else(apr_kernels::runtime::default_chunking),
         }
     }
 

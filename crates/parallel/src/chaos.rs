@@ -7,8 +7,8 @@
 //! recovery runs clean and bit-identical recovery is testable at all.
 //!
 //! [`ChaosPlan::from_seed`] derives a whole schedule from a single `u64`
-//! with the same splitmix64 generator `apr-guard` uses for its fault
-//! plans, so a CI matrix row is reproduced locally by quoting one number.
+//! with `apr-guard`'s dependency-free splitmix64 generator, so a CI matrix
+//! row is reproduced locally by quoting one number.
 //!
 //! The plan and every fault kind are compiled unconditionally (the
 //! headline rank-recovery test runs in the default build); a production

@@ -3,13 +3,13 @@
 //! A [`ScenarioSpec`] is plain data: geometry, inlet, physics knobs and a
 //! list of refinement windows. Every *physics* field feeds
 //! [`ScenarioSpec::hash`] — the warm-cache key — while the `name` (a
-//! registry label) and the `runtime` (kernel/chunking knobs, bit-identical
+//! registry label) and the `runtime` (kernel/thread knobs, bit-identical
 //! by contract) are deliberately excluded, so two specs that describe the
 //! same physics are *the same scenario* regardless of what they are called
 //! or how they are executed.
 
 use apr_guard::ByteWriter;
-use apr_lattice::{ChunkingPolicy, KernelKind, RuntimeConfig};
+use apr_lattice::{KernelKind, RuntimeConfig};
 use apr_telemetry::json::{self, Value};
 
 /// Schema tag stamped into every serialized spec.
@@ -206,8 +206,8 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Relaxation steps baked into the warm state.
     pub warmup_steps: u64,
-    /// Execution knobs (kernel, chunking). **Excluded from the hash**:
-    /// every kernel and chunking policy is bit-identical by contract, so
+    /// Execution knobs (kernel, threads). **Excluded from the hash**:
+    /// every kernel and thread count is bit-identical by contract, so
     /// warm blobs are valid across runtimes (test-enforced).
     pub runtime: RuntimeConfig,
 }
@@ -672,10 +672,8 @@ impl ScenarioSpec {
         ));
         let kernel = self.runtime.kernel.map_or("auto", KernelKind::as_str);
         out.push_str(&format!(
-            "\"runtime\":{{\"kernel\":\"{kernel}\",\"threads\":{},\
-             \"chunking\":\"{}\"}}}}",
-            self.runtime.threads,
-            self.runtime.chunking.as_str()
+            "\"runtime\":{{\"kernel\":\"{kernel}\",\"threads\":{}}}}}",
+            self.runtime.threads
         ));
         out
     }
@@ -783,15 +781,9 @@ impl ScenarioSpec {
                 "fused" => Some(KernelKind::FusedSwap),
                 k => return Err(ScenarioError::Json(format!("unknown kernel {k:?}"))),
             };
-            let chunking = match str_field(r, "chunking")? {
-                "static" => ChunkingPolicy::Static,
-                "guided" => ChunkingPolicy::Guided,
-                c => return Err(ScenarioError::Json(format!("unknown chunking {c:?}"))),
-            };
             RuntimeConfig {
                 kernel,
                 threads: num_field(r, "threads")? as usize,
-                chunking,
             }
         };
         let spec = ScenarioSpec {
@@ -889,9 +881,7 @@ mod tests {
         renamed.name = "anything_else".into();
         assert_eq!(base.hash(), renamed.hash());
         let mut pinned = base.clone();
-        pinned.runtime = RuntimeConfig::default()
-            .with_kernel(KernelKind::Reference)
-            .with_chunking(ChunkingPolicy::Static);
+        pinned.runtime = RuntimeConfig::default().with_kernel(KernelKind::Reference);
         assert_eq!(base.hash(), pinned.hash());
     }
 
@@ -966,8 +956,9 @@ mod tests {
             Err(ScenarioError::Json(_))
         ));
         // benchmark/workloads/serve_plasma.json, written when the runtime
-        // object still carried "probe": the key is ignored, the spec and
-        // its hash (taken before the key went) are unchanged.
+        // object still carried "probe" and "chunking": both keys are
+        // ignored, the spec and its hash (taken before they went) are
+        // unchanged, whatever policy the text names.
         let v1 = r#"{"schema":"apr.scenario.v1","name":"serve_plasma","dims":[17,17,24],
  "geometry":{"kind":"tube","radius":7.0},
  "inlet":{"kind":"body_force","g":0.000004},
@@ -976,6 +967,10 @@ mod tests {
  "seed":0,"warmup_steps":4,
  "runtime":{"kernel":"auto","threads":0,"chunking":"guided","probe":true}}"#;
         let spec = ScenarioSpec::from_json(v1).expect("v1 text with \"probe\"");
+        assert_eq!(spec.hash(), 0x46fe_9449_039e_8634);
+        assert_eq!(spec.runtime, RuntimeConfig::default());
+        let v1_static = v1.replace("\"guided\"", "\"static\"");
+        let spec = ScenarioSpec::from_json(&v1_static).expect("v1 text with \"static\"");
         assert_eq!(spec.hash(), 0x46fe_9449_039e_8634);
         assert_eq!(spec.runtime, RuntimeConfig::default());
         assert!(matches!(

@@ -130,15 +130,14 @@ impl Recorder {
     /// (`schema: "apr.flightrec.v1"`), entries oldest first.
     ///
     /// The header carries the serve session scoped on the dumping thread
-    /// (0 = unscoped) and the active `RuntimeConfig` (kernel/threads/
-    /// chunking, read from the `runtime.*` run attributes set when the
-    /// engine was built), so a post-mortem dump is attributable to one
+    /// (0 = unscoped) and the active `RuntimeConfig` (kernel/threads, read
+    /// from the `runtime.*` run attributes set when the engine was built), so a post-mortem dump is attributable to one
     /// session and one runtime configuration.
     pub fn flightrec_json(&self) -> String {
         let (cap, total, dropped, entries, runtime) = {
             let inner = self.inner.lock().unwrap();
             let mut runtime = String::from("{");
-            for key in ["kernel", "threads", "chunking"] {
+            for key in ["kernel", "threads"] {
                 let full = format!("runtime.{key}");
                 if let Some((_, v)) = inner.attributes.iter().find(|(&k, _)| k == full) {
                     if runtime.len() > 1 {

@@ -170,7 +170,7 @@ pub struct FlightSummary {
     /// Serve session recorded in the header (0 = unscoped).
     pub session: u64,
     /// Runtime annotations recorded in the header, as `(key, value)`
-    /// pairs in header order (kernel / threads / chunking when present).
+    /// pairs in header order (kernel / threads when present).
     pub runtime: Vec<(String, String)>,
 }
 
@@ -192,7 +192,7 @@ pub fn validate_flightrec(text: &str) -> Result<FlightSummary, String> {
         .get("runtime")
         .ok_or("header: missing \"runtime\" object")?;
     let mut runtime = Vec::new();
-    for key in ["kernel", "threads", "chunking"] {
+    for key in ["kernel", "threads"] {
         if let Some(v) = runtime_obj.get(key).and_then(Value::as_str) {
             runtime.push((key.to_string(), v.to_string()));
         }
@@ -280,7 +280,6 @@ mod tests {
         rec.enable();
         rec.set_attribute("runtime.kernel", "fused");
         rec.set_attribute("runtime.threads", "4");
-        rec.set_attribute("runtime.chunking", "guided");
         let _scope = crate::span::session_scope(11);
         {
             let _s = rec.span("apr.step");
@@ -295,7 +294,6 @@ mod tests {
             vec![
                 ("kernel".to_string(), "fused".to_string()),
                 ("threads".to_string(), "4".to_string()),
-                ("chunking".to_string(), "guided".to_string()),
             ]
         );
     }

@@ -146,7 +146,7 @@ fn guardian_rollback_replays_identically_at_four_threads() {
 /// interleavings every run) all land on the identical trajectory.
 #[test]
 fn guided_chunking_survives_randomized_worker_starts() {
-    use apr_suite::lattice::{ChunkingPolicy, KernelKind};
+    use apr_suite::lattice::KernelKind;
     use rand::Rng;
 
     let _guard = POOL_LOCK.lock().unwrap();
@@ -154,7 +154,6 @@ fn guided_chunking_survives_randomized_worker_starts() {
     let run_once = || {
         let mut lat = force_driven_tube(13, 13, 24, 0.9, 5.0, 1e-6);
         lat.set_kernel(Some(KernelKind::FusedSwap));
-        lat.set_chunking(Some(ChunkingPolicy::Guided));
         for _ in 0..30 {
             lat.step();
         }

@@ -1,8 +1,7 @@
 //! Kernel-engine equivalence: the fused swap-streaming kernel must be
 //! **bit-identical** to the reference two-pass kernel on every boundary
-//! type, at every thread count, under either chunking policy, across
-//! checkpoint/restore — and it must actually eliminate the second
-//! distribution array it exists to remove.
+//! type, at every thread count, across checkpoint/restore — and it must
+//! actually eliminate the second distribution array it exists to remove.
 //!
 //! The worker pool is process-global, so every test that swaps it holds
 //! `POOL_LOCK` (same discipline as `exec_determinism.rs`).
@@ -286,34 +285,5 @@ fn geometry_changes_rebuild_the_fused_stencil() {
         }
     }
     assert_eq!(digest(&a), digest(&b), "post-edit trajectories diverged");
-    apr_suite::exec::set_threads(1);
-}
-
-/// Chunking is an execution knob, not a physics knob: guided and static
-/// hand-out produce bit-identical trajectories for the fused kernel at
-/// every thread count.
-#[test]
-fn chunking_policy_never_changes_results() {
-    use apr_suite::lattice::ChunkingPolicy;
-    let _guard = POOL_LOCK.lock().unwrap();
-    for (name, lat) in scenarios() {
-        let kind = KernelKind::FusedSwap;
-        apr_suite::exec::set_threads(1);
-        let mut golden = lat.clone();
-        golden.set_chunking(Some(ChunkingPolicy::Static));
-        let golden = run(golden, kind, 50);
-        for threads in [2usize, 4, 8] {
-            apr_suite::exec::set_threads(threads);
-            for policy in [ChunkingPolicy::Guided, ChunkingPolicy::Static] {
-                let mut trial = lat.clone();
-                trial.set_chunking(Some(policy));
-                assert_eq!(
-                    golden,
-                    run(trial, kind, 50),
-                    "{kind:?}/{policy:?} diverged: scenario {name}, {threads} threads"
-                );
-            }
-        }
-    }
     apr_suite::exec::set_threads(1);
 }
