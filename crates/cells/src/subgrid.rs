@@ -34,6 +34,16 @@ impl Hasher for BinHasher {
     }
 }
 
+/// Bin of `p` in a grid of cubic bins with edge `bin_size`.
+#[inline]
+pub(crate) fn bin_key(p: Vec3, bin_size: f64) -> (i64, i64, i64) {
+    (
+        (p.x / bin_size).floor() as i64,
+        (p.y / bin_size).floor() as i64,
+        (p.z / bin_size).floor() as i64,
+    )
+}
+
 /// A point sample registered in the subgrid: owning cell and vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridEntry {
@@ -68,15 +78,6 @@ impl UniformSubgrid {
         }
     }
 
-    #[inline]
-    fn key(&self, p: Vec3) -> (i64, i64, i64) {
-        (
-            (p.x / self.bin_size).floor() as i64,
-            (p.y / self.bin_size).floor() as i64,
-            (p.z / self.bin_size).floor() as i64,
-        )
-    }
-
     /// Number of registered samples.
     pub fn len(&self) -> usize {
         self.len
@@ -90,7 +91,7 @@ impl UniformSubgrid {
     /// Register a vertex sample.
     pub fn insert(&mut self, cell_id: u64, vertex: u32, position: Vec3) {
         self.bins
-            .entry(self.key(position))
+            .entry(bin_key(position, self.bin_size))
             .or_default()
             .push(GridEntry {
                 cell_id,
@@ -135,8 +136,8 @@ impl UniformSubgrid {
         mut visit: F,
     ) {
         let r2 = radius * radius;
-        let lo = self.key(p - Vec3::splat(radius));
-        let hi = self.key(p + Vec3::splat(radius));
+        let lo = bin_key(p - Vec3::splat(radius), self.bin_size);
+        let hi = bin_key(p + Vec3::splat(radius), self.bin_size);
         for bx in lo.0..=hi.0 {
             for by in lo.1..=hi.1 {
                 for bz in lo.2..=hi.2 {

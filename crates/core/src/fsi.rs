@@ -19,14 +19,18 @@ pub fn compute_membrane_forces(pool: &mut CellPool) -> f64 {
     })
 }
 
-/// Rebuild the spatial grid and add intercellular contact forces.
+/// Rebuild the spatial grid and add intercellular contact forces, summed
+/// in the order of the grid's bins. Contact finds its pairs without the
+/// grid; the rebuild stays because window maintenance reads the grid after
+/// the step (escape removal, insertion overlap tests), and there it holds
+/// the positions from the start of the last sub-step.
 pub fn compute_contact_forces(
     pool: &mut CellPool,
     grid: &mut UniformSubgrid,
     params: ContactParams,
 ) -> usize {
     rebuild_grid(grid, pool);
-    apply_contact_forces(pool, grid, params)
+    apply_contact_forces(pool, grid.bin_size, params)
 }
 
 /// Spread every cell's vertex forces onto the lattice force field.
