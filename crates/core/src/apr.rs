@@ -15,7 +15,7 @@ use apr_ibm::DeltaKernel;
 use apr_lattice::{KernelKind, Lattice, RuntimeConfig, SubStep};
 use apr_membrane::Membrane;
 use apr_mesh::Vec3;
-use apr_observe::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
+use apr_telemetry::ledger::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
 use apr_window::{
     move_window, remove_escaped_cells, repopulate, CtcTracker, HematocritController,
     InsertionContext, InsertionReport, MoveTrigger, WindowAnatomy,
@@ -185,8 +185,8 @@ impl AprEngineBuilder {
 
     /// Arm the conservation ledger: every step samples bulk and window
     /// mass/momentum totals (deterministic ordered reduction), tracks
-    /// drift against `config`'s tolerances, and publishes the sample to
-    /// the metrics hub. Latched breaches surface as
+    /// drift against `config`'s tolerances, and keeps the latest sample
+    /// ([`ConservationLedger::last`]). Latched breaches surface as
     /// `HealthIssue::ConservationDrift` at the next guardian inspection.
     pub fn ledger(mut self, config: LedgerConfig) -> Self {
         self.ledger = Some(config);

@@ -34,7 +34,7 @@ pub mod vtk;
 
 pub use apr::{AprEngine, AprEngineBuilder, AprStepReport, BulkDriver, FineGeometry, WindowSteer};
 pub use apr_lattice::KernelKind;
-pub use apr_observe::{ConservationLedger, DriftBreach, LedgerConfig, LedgerSample};
+pub use apr_telemetry::ledger::{ConservationLedger, DriftBreach, LedgerConfig, LedgerSample};
 pub use config::PhysicalConfig;
 pub use diagnostics::{
     mean_axial_velocity, tube_effective_viscosity, tube_flow_rate, HematocritSeries,

@@ -116,7 +116,7 @@ pub enum HealthIssue {
     /// A conserved quantity drifted past its ledger tolerance: total mass
     /// or momentum changed step-over-step by more than the window/bulk
     /// coupling can account for. Raised by the conservation ledger
-    /// (`apr-observe`), not by node-local scans — it catches *physics*
+    /// (`apr_telemetry::ledger`), not by node-local scans — it catches *physics*
     /// regressions (a mass leak, a broken fill/capture flux) whose state
     /// is still perfectly finite, which the NaN/Mach checks above never
     /// see.

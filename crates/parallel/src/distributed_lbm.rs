@@ -141,8 +141,8 @@ impl SlabLattice {
     /// than a panic mid-step.
     pub fn step(&mut self) -> Result<(), HaloError> {
         // Rank scopes tag any telemetry recorded inside the per-rank work
-        // (kernel spans, exec regions) with the owning rank, which is what
-        // lets the critical-path analyzer attribute imbalance.
+        // (kernel spans, exec regions) with the owning rank, so a trace
+        // shows which rank a slow span belonged to.
         for (rank, local) in self.locals.iter_mut().enumerate() {
             let _rank = apr_telemetry::rank_scope(rank as u32);
             local.advance(SubStep::Collide);

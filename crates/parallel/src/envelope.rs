@@ -150,8 +150,8 @@ pub struct SealedSlab {
     /// CRC32 over the payload bytes, computed at seal time.
     pub crc: u32,
     /// Correlation: serve session the sender was working for at seal time
-    /// (0 = unscoped). Lets the critical-path analyzer tie a halo message
-    /// on the wire back to the session and step that produced it.
+    /// (0 = unscoped). Ties a halo message on the wire back to the session
+    /// and step that produced it.
     pub session: u64,
     /// Correlation: simulation step the sender was in at seal time
     /// (0 = unscoped).

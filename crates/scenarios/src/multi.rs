@@ -33,7 +33,7 @@ use apr_ibm::DeltaKernel;
 use apr_lattice::{Lattice, SubStep};
 use apr_membrane::Membrane;
 use apr_mesh::Vec3;
-use apr_observe::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
+use apr_telemetry::ledger::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
 use apr_window::{
     move_window, remove_escaped_cells, repopulate, CtcTracker, HematocritController,
     InsertionContext, MoveTrigger, WindowAnatomy,

@@ -18,8 +18,8 @@
 use apr_geom::{voxelize, Capsule, Cylinder, Sdf, Union};
 use apr_lattice::Lattice;
 use apr_mesh::Vec3;
-use apr_observe::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
 use apr_scenarios::{lookup, GeometrySpec, SimSession};
+use apr_telemetry::ledger::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
 
 /// The `branch_transit` bulk lumen, built exactly as the scenario does.
 fn closed_side_branch_lattice() -> Lattice {

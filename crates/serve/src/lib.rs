@@ -34,6 +34,8 @@
 //! - [`store`] — [`SpillStore`], the two-tier parked-checkpoint pool.
 //! - [`service`] — [`SimService`]: admission control, the round-robin
 //!   scheduler, worker leasing, preempt/park/resume.
+//! - [`progress`] — [`ProgressHub`], the service's bounded broadcast
+//!   channel of per-slice [`ProgressSample`]s.
 //! - [`metrics`] — [`ServiceMetrics`], the service-level aggregate view.
 //!
 //! ## Guarantees
@@ -71,14 +73,15 @@
 
 pub mod cache;
 pub mod metrics;
+pub mod progress;
 pub mod service;
 pub mod session;
 pub mod store;
 
-pub use apr_observe::{ProgressSample, Sample, ServiceSample};
 pub use apr_scenarios::{GeometrySpec, InletSpec, ScenarioSpec, WindowSpec};
 pub use cache::WarmCache;
 pub use metrics::ServiceMetrics;
-pub use service::{AdmitError, ProgressSubscription, ServeConfig, SimService};
+pub use progress::{ProgressHub, ProgressSample, ProgressSubscription};
+pub use service::{AdmitError, ServeConfig, SimService};
 pub use session::{JobSpec, SessionResult, SessionStats, SessionStatus};
 pub use store::SpillStore;

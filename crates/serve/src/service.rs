@@ -31,12 +31,12 @@
 
 use crate::cache::WarmCache;
 use crate::metrics::ServiceMetrics;
+use crate::progress::{ProgressHub, ProgressSample, ProgressSubscription};
 use crate::session::{JobSpec, SessionResult, SessionStats, SessionStatus};
 use crate::store::SpillStore;
 use apr_core::SimSession;
 use apr_exec::WorkerBudget;
 use apr_guard::FileStore;
-use apr_observe::{hub, ProgressSample, Sample, ServiceSample, Subscription};
 use apr_telemetry::TelemetryEvent;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -138,84 +138,19 @@ struct State {
 }
 
 struct Shared {
-    /// Process-unique id of this service, stamped on every progress
-    /// sample it publishes: the metrics hub is process-global and every
-    /// service numbers its sessions from 1.
-    service_id: u64,
     state: Mutex<State>,
     /// Workers wait here for runnable sessions.
     ready: Condvar,
     /// Waiters ([`SimService::wait`]/[`SimService::wait_all`]) wait here.
     done: Condvar,
     cache: WarmCache,
+    /// Per-slice session progress, published as slices retire.
+    progress: ProgressHub,
     shutdown: AtomicBool,
 }
 
 fn park_key(id: u64) -> String {
     format!("session-{id}")
-}
-
-/// Snapshot the scheduler's service-level counters for the metrics hub.
-/// Called under the state lock; the publish itself happens after release.
-fn service_sample(st: &State) -> ServiceSample {
-    ServiceSample {
-        admitted: st.next_id,
-        completed: st.sessions.values().filter(|e| e.result.is_some()).count() as u64,
-        queued: st.queue.len() as u64,
-        inflight: st.inflight as u64,
-    }
-}
-
-/// A live, filtered view of per-slice session progress from the global
-/// metrics hub: only samples of the service that created it, narrowed to
-/// one session when asked. Obtained from
-/// [`SimService::subscribe_progress`]; samples arriving while nobody polls
-/// are bounded by the hub's drop-oldest queue.
-pub struct ProgressSubscription {
-    inner: Subscription,
-    service: u64,
-    session: Option<u64>,
-}
-
-impl ProgressSubscription {
-    fn wants(&self, sample: &ProgressSample) -> bool {
-        sample.service == self.service && self.session.is_none_or(|id| sample.session == id)
-    }
-
-    /// Next matching progress sample without blocking.
-    pub fn try_recv(&self) -> Option<ProgressSample> {
-        while let Some(sample) = self.inner.try_recv() {
-            if let Sample::Progress(p) = sample {
-                if self.wants(&p) {
-                    return Some(p);
-                }
-            }
-        }
-        None
-    }
-
-    /// Block up to `timeout` for the next matching progress sample.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<ProgressSample> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let sample = self.inner.recv_timeout(remaining)?;
-            if let Sample::Progress(p) = sample {
-                if self.wants(&p) {
-                    return Some(p);
-                }
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// Samples the hub dropped on this subscription because the queue was
-    /// full (observability of the observer's own lag).
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped()
-    }
 }
 
 /// The multi-tenant simulation service. Construct with
@@ -253,7 +188,6 @@ impl SimService {
             None => SpillStore::unbounded(),
         };
         let shared = Arc::new(Shared {
-            service_id,
             state: Mutex::new(State {
                 next_id: 0,
                 queue: VecDeque::new(),
@@ -265,6 +199,7 @@ impl SimService {
             ready: Condvar::new(),
             done: Condvar::new(),
             cache: WarmCache::new(config.cache_capacity),
+            progress: ProgressHub::new(),
             shutdown: AtomicBool::new(false),
         });
         let budget = Arc::new(WorkerBudget::new(
@@ -340,9 +275,7 @@ impl SimService {
         );
         st.queue.push_back(id);
         st.inflight += 1;
-        let service_sample = service_sample(&st);
         drop(st);
-        hub().publish(Sample::Service(service_sample));
         apr_telemetry::emit(TelemetryEvent::SessionAdmitted {
             session: id,
             scenario,
@@ -364,16 +297,12 @@ impl SimService {
 
     /// Subscribe to live per-slice progress. Every scheduler slice
     /// publishes a [`ProgressSample`] (steps done, steps/s, cache-hit,
-    /// completion) to the global metrics hub; this returns a bounded
-    /// subscription to this service's samples, filtered to `session` when
-    /// `Some`, or covering all its sessions when `None`. Samples push as
-    /// slices retire; nothing is pulled under the scheduler lock.
+    /// completion) on this service's progress channel; this returns a
+    /// bounded subscription to it, filtered to `session` when `Some`, or
+    /// covering all sessions when `None`. Samples push as slices retire;
+    /// nothing is pulled under the scheduler lock.
     pub fn subscribe_progress(&self, session: Option<u64>) -> ProgressSubscription {
-        ProgressSubscription {
-            inner: hub().subscribe(),
-            service: self.shared.service_id,
-            session,
-        }
+        self.shared.progress.subscribe(session)
     }
 
     /// Scheduler bookkeeping for one session (`None` for unknown ids).
@@ -473,10 +402,11 @@ struct SliceOutcome {
     suspend_ns: u64,
 }
 
-/// Build the per-slice progress sample published to the metrics hub.
-/// Called under the state lock with the just-updated session entry.
+/// Build the per-slice progress sample published on the service's
+/// progress channel, from the just-updated session entry. It is published
+/// under the state lock: a session's samples arrive in slice order, and
+/// its completion sample is queued before `wait`/`wait_all` can return.
 fn progress_sample(
-    service: u64,
     id: u64,
     entry: &SessionEntry,
     stepped: u64,
@@ -484,7 +414,6 @@ fn progress_sample(
     completed: bool,
 ) -> ProgressSample {
     ProgressSample {
-        service,
         session: id,
         steps_done: entry.steps_done,
         target_steps: entry.spec.target_steps,
@@ -496,7 +425,6 @@ fn progress_sample(
 }
 
 fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfig) {
-    let service = shared.service_id;
     loop {
         let mut st = shared.state.lock().unwrap();
         let id = loop {
@@ -570,27 +498,33 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                         preempts: entry.stats.preempts,
                         error: None,
                     });
-                    let progress =
-                        progress_sample(service, id, entry, out.stepped, out.step_ns, true);
+                    shared.progress.publish(progress_sample(
+                        id,
+                        entry,
+                        out.stepped,
+                        out.step_ns,
+                        true,
+                    ));
                     st.inflight -= 1;
-                    let svc = service_sample(&st);
                     drop(st);
-                    hub().publish(Sample::Progress(progress));
-                    hub().publish(Sample::Service(svc));
                     shared.done.notify_all();
                 } else {
                     entry.stats.preempts += 1;
                     entry.status = SessionStatus::Queued;
                     entry.stats.queued_at_grant = grants;
-                    let progress =
-                        progress_sample(service, id, entry, out.stepped, out.step_ns, false);
+                    shared.progress.publish(progress_sample(
+                        id,
+                        entry,
+                        out.stepped,
+                        out.step_ns,
+                        false,
+                    ));
                     let blob = out.parked.expect("preempted slice parks a checkpoint");
                     st.parked
                         .put(&park_key(id), blob)
                         .expect("parking a checkpoint failed");
                     st.queue.push_back(id);
                     drop(st);
-                    hub().publish(Sample::Progress(progress));
                     shared.ready.notify_one();
                 }
             }
@@ -613,12 +547,11 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
                     preempts: entry.stats.preempts,
                     error: Some(message),
                 });
-                let progress = progress_sample(service, id, entry, 0, 1, true);
+                shared
+                    .progress
+                    .publish(progress_sample(id, entry, 0, 1, true));
                 st.inflight -= 1;
-                let svc = service_sample(&st);
                 drop(st);
-                hub().publish(Sample::Progress(progress));
-                hub().publish(Sample::Service(svc));
                 shared.done.notify_all();
             }
         }

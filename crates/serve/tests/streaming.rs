@@ -1,22 +1,16 @@
-//! Live progress streaming: every scheduler slice pushes a sample to the
-//! observability hub, and `subscribe_progress` delivers them in order
-//! with a final completion sample — no polling required.
+//! Live progress streaming: every scheduler slice pushes a sample on the
+//! service's progress channel, and `subscribe_progress` delivers them in
+//! order with a final completion sample — no polling required.
 
 use apr_serve::{JobSpec, ProgressSample, ScenarioSpec, ServeConfig, SimService};
 use std::time::Duration;
 
-fn collect_until_complete(
-    sub: &apr_serve::ProgressSubscription,
-    session: u64,
-) -> Vec<ProgressSample> {
+fn collect_until_complete(sub: &apr_serve::ProgressSubscription) -> Vec<ProgressSample> {
     let mut samples = Vec::new();
     loop {
         let p = sub
             .recv_timeout(Duration::from_secs(30))
             .expect("progress stream must not stall");
-        if p.session != session {
-            continue; // another test's session on the shared hub
-        }
         let done = p.completed;
         samples.push(p);
         if done {
@@ -39,7 +33,8 @@ fn every_slice_streams_a_progress_sample() {
         })
         .expect("admission");
 
-    let samples = collect_until_complete(&sub, id);
+    let samples = collect_until_complete(&sub);
+    assert!(samples.iter().all(|p| p.session == id));
     assert_eq!(samples.len(), 3, "12 steps / 4-step slices = 3 samples");
     for (i, p) in samples.iter().enumerate() {
         assert_eq!(p.slice, i as u64 + 1, "slice counter increments");
@@ -89,4 +84,31 @@ fn session_filter_drops_other_sessions() {
     }
     assert!(!seen.is_empty(), "session A produced samples");
     assert!(seen.iter().all(|p| p.session == a), "filter admits only A");
+}
+
+#[test]
+fn a_late_reader_gets_every_slice_of_a_finished_session() {
+    // Nothing but this session's slices may reach the queue: a reader that
+    // only drains after the session ended still gets all of them.
+    let mut cfg = ServeConfig::new(1);
+    cfg.slice_steps = 100;
+    let service = SimService::start(cfg);
+    let sub = service.subscribe_progress(None);
+    service
+        .submit(JobSpec {
+            scenario: ScenarioSpec::tube_small(91),
+            target_steps: 1200,
+        })
+        .expect("admission");
+    service.wait_all();
+    let samples: Vec<ProgressSample> = std::iter::from_fn(|| sub.try_recv()).collect();
+    let slices: Vec<u64> = samples.iter().map(|p| p.slice).collect();
+    assert_eq!(
+        slices,
+        (1..=12).collect::<Vec<u64>>(),
+        "one sample per slice"
+    );
+    let completed: Vec<bool> = samples.iter().map(|p| p.completed).collect();
+    assert_eq!(completed, [[false; 11].as_slice(), &[true]].concat());
+    assert_eq!(sub.dropped(), 0, "nothing lost to the queue bound");
 }

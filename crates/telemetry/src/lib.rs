@@ -19,6 +19,12 @@
 //! allocates nothing, so instrumented hot paths pay effectively zero when
 //! observability is off (`tests/no_alloc.rs` pins this down).
 //!
+//! Beside the recorder, [`ledger`] is the per-engine conservation ledger:
+//! per-step mass/momentum totals of the bulk and the moving window, window
+//! fill/capture flux and hematocrit drift, with drift beyond tolerance
+//! latched as a [`ledger::DriftBreach`] the guardian turns into a health
+//! issue.
+//!
 //! ```
 //! apr_telemetry::enable();
 //! {
@@ -41,6 +47,7 @@ pub mod events;
 pub mod export;
 pub mod flight;
 pub mod json;
+pub mod ledger;
 pub mod metrics;
 pub mod span;
 pub mod validate;

@@ -115,7 +115,7 @@ impl Drop for RankScope {
 /// simulation step while it lives (1-based by convention so that 0 means
 /// "unscoped"; `AprEngine::step` scopes `steps + 1`). Together with
 /// [`SessionScope`] and [`RankScope`] this forms the correlation-ID
-/// triple the critical-path analyzer groups spans by.
+/// triple the Chrome export writes into each span's `args`.
 #[must_use = "the scope attributes spans only while the guard lives"]
 #[derive(Debug)]
 pub struct StepScope {

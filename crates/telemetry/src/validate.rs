@@ -22,8 +22,8 @@ pub struct TraceSummary {
     /// breakdown directly under the step spans.
     pub phase_us: f64,
     /// Span records carrying at least one correlation ID (`args.session`,
-    /// `args.rank` or `args.step`) — the fields the critical-path
-    /// analyzer groups by. Plain Perfetto viewers ignore them.
+    /// `args.rank` or `args.step`), which tie a span to the serve session,
+    /// rank and step it ran for. Plain Perfetto viewers ignore them.
     pub correlated_spans: usize,
 }
 

@@ -5,10 +5,9 @@
 //! session is repeatedly checkpoint-preempted and resumed; the second
 //! session of each spec starts from the warm-state cache. Progress is
 //! **streamed** while the scheduler runs: the demo subscribes to the
-//! observability hub before submitting, and every retired slice pushes a
-//! live sample (steps done, steps/s, cache temperature) — nothing polls
-//! under the scheduler lock. After the stream drains,
-//! it prints per-session outcomes and the service-level metrics, and
+//! service's progress channel before submitting, and every retired slice
+//! pushes a live sample (steps done, steps/s, cache temperature) — nothing
+//! polls under the scheduler lock. After the stream drains, it prints per-session outcomes and the service-level metrics, and
 //! verifies that sessions with identical specs finished bit-identically.
 //!
 //! ```sh

@@ -69,8 +69,8 @@ fn traced_run_validates_and_calibrates_the_machine_model() {
     );
 
     // Correlation round-trip: the session/step ids scoped during the run
-    // must come back out of the Chrome export, span for span — this is
-    // what lets the cross-rank critical-path analyzer group spans by step.
+    // must come back out of the Chrome export, span for span, so a trace
+    // can be grouped by step.
     assert!(
         summary.correlated_spans > 0,
         "no span carried correlation args"
