@@ -216,9 +216,9 @@ impl AprEngineBuilder {
             coarse.set_kernel(Some(kind));
             fine.set_kernel(Some(kind));
         }
-        // Stamp the effective runtime knobs as run attributes: the flight
-        // recorder copies them into its dump header, so a post-mortem
-        // identifies the kernel/thread configuration that produced it.
+        // Stamp the effective runtime knobs as run attributes: every Chrome
+        // trace, a guardian trip dump included, carries them as metadata,
+        // so a post-mortem identifies the kernel/thread configuration.
         apr_telemetry::set_attribute(
             "runtime.kernel",
             kernel_override.map_or("auto", KernelKind::as_str),

@@ -19,10 +19,13 @@
 //! [`Guardian`] wraps `AprEngine::step` with the paper-scale robustness
 //! loop: sentinel every N steps, snapshot while healthy, roll back +
 //! reseed + optionally tighten τ (Eq. 7) on a trip, give up after a
-//! bounded retry budget with a structured [`RecoveryLog`].
+//! bounded retry budget with a structured [`RecoveryLog`]. It rolls back
+//! through [`SimSession::resume`], so a CTC is restored with the membrane
+//! the engine captured when the CTC was added.
 
 use crate::apr::{AprEngine, AprStepReport};
 use crate::efsi::EfsiEngine;
+use crate::lifecycle::SimSession;
 use apr_coupling::CouplingMap;
 use apr_guard::{
     check_hematocrit, check_lattice, check_pool, read_lattice, read_pool, write_lattice,
@@ -249,6 +252,10 @@ pub struct GuardedStep {
     pub rolled_back: bool,
 }
 
+/// Records in a trip dump: the newest spans and events, enough to cover
+/// the steps leading up to the incident.
+const TRIP_DUMP_RECORDS: usize = 4096;
+
 /// Wraps [`AprEngine::step`] with sentinel checks, in-memory last-good
 /// checkpointing, and rollback-and-retry recovery.
 pub struct Guardian {
@@ -265,8 +272,7 @@ pub struct Guardian {
     pub faults: FaultPlan,
     last_good: Option<Vec<u8>>,
     attempts: u32,
-    ctc_membrane: Option<Arc<Membrane>>,
-    flightrec_path: Option<std::path::PathBuf>,
+    trip_trace_path: Option<std::path::PathBuf>,
 }
 
 impl Guardian {
@@ -280,35 +286,29 @@ impl Guardian {
             faults: FaultPlan::new(),
             last_good: None,
             attempts: 0,
-            ctc_membrane: None,
-            flightrec_path: None,
+            trip_trace_path: None,
         }
     }
 
-    /// Dump the telemetry flight recorder (the ring of spans/events/metric
-    /// samples preceding the incident) to `path` on every sentinel trip,
-    /// making divergences post-mortem debuggable. Each trip overwrites the
-    /// file, so it always holds the window before the *latest* incident.
-    pub fn set_flightrec_path(&mut self, path: impl Into<std::path::PathBuf>) {
-        self.flightrec_path = Some(path.into());
+    /// On every sentinel trip, write the newest telemetry records (spans
+    /// and events, trip included) to `path` as a Chrome trace, making
+    /// divergences post-mortem debuggable. Each trip overwrites the file,
+    /// so it always holds the history of the *latest* incident.
+    pub fn set_trip_trace_path(&mut self, path: impl Into<std::path::PathBuf>) {
+        self.trip_trace_path = Some(path.into());
     }
 
-    fn dump_flightrec(&self) {
-        let Some(path) = &self.flightrec_path else {
+    fn dump_trip_trace(&self) {
+        let Some(path) = &self.trip_trace_path else {
             return;
         };
-        if let Err(err) = apr_telemetry::global().write_flightrec(path) {
+        let trace = apr_telemetry::global().chrome_trace_json_newest(TRIP_DUMP_RECORDS);
+        if let Err(err) = std::fs::write(path, trace) {
             eprintln!(
-                "guardian: failed to write flight record to {}: {err}",
+                "guardian: failed to write trip trace to {}: {err}",
                 path.display()
             );
         }
-    }
-
-    /// Provide the CTC membrane model needed to restore checkpoints whose
-    /// pool contains a CTC.
-    pub fn set_ctc_membrane(&mut self, membrane: Arc<Membrane>) {
-        self.ctc_membrane = Some(membrane);
     }
 
     /// The most recent healthy checkpoint blob, if one has been taken
@@ -457,9 +457,9 @@ impl Guardian {
             issues: health.issues.len() as u32,
             first_kind: health.issues.first().map_or("none", |i| i.kind()),
         });
-        // Emitted trip included: the flight record's last entry names the
+        // Emitted trip included: the dump's newest event names the
         // incident it precedes.
-        self.dump_flightrec();
+        self.dump_trip_trace();
         self.attempts += 1;
         if self.attempts > self.policy.max_retries {
             self.log.record(RecoveryEvent {
@@ -484,7 +484,7 @@ impl Guardian {
             .expect("checkpoint taken before stepping");
         {
             let _s = apr_telemetry::span("guard.rollback");
-            restore_engine(engine, &blob, self.ctc_membrane.as_ref())?;
+            engine.resume(&blob)?;
         }
         let new_seed = self.policy.seed_for_attempt(self.attempts);
         engine.reseed_rng(new_seed);

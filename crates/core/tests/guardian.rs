@@ -244,13 +244,12 @@ mod fault_injection {
         let clean_ht = clean.window_hematocrit().unwrap();
 
         // Guarded run with a vertex NaN scheduled mid-campaign. The
-        // guardian dumps the telemetry flight recorder on the trip.
-        let flightrec =
-            std::env::temp_dir().join(format!("apr_flightrec_e2e_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&flightrec);
+        // guardian dumps the newest telemetry records on the trip.
+        let dump = std::env::temp_dir().join(format!("apr_trip_trace_{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&dump);
         let mut eng = hematocrit_engine();
         let mut guardian = Guardian::new(SentinelConfig::default(), RetryPolicy::default(), 5);
-        guardian.set_flightrec_path(&flightrec);
+        guardian.set_trip_trace_path(&dump);
         guardian.faults.schedule(
             73,
             FaultKind::MembraneNan {
@@ -331,41 +330,74 @@ mod fault_injection {
             "no checkpoint event precedes the sentinel trip"
         );
 
-        // The flight record dumped at the trip must be valid JSON with the
-        // v1 schema, hold span and event entries from the window preceding
-        // the incident, and include the sentinel trip itself as its
-        // freshest event.
-        let text =
-            std::fs::read_to_string(&flightrec).expect("guardian did not write the flight record");
-        let doc = apr_telemetry::json::parse(&text).expect("flight record is not valid JSON");
-        assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some(apr_telemetry::FLIGHTREC_SCHEMA)
-        );
-        let entries = doc.get("entries").and_then(|e| e.as_arr()).unwrap();
-        assert!(!entries.is_empty(), "flight record has no entries");
-        let spans = entries
-            .iter()
-            .filter(|e| e.get("type").and_then(|t| t.as_str()) == Some("span"))
-            .count();
-        assert!(spans > 0, "flight record holds no spans");
+        // The dump written at the trip is a Chrome trace the CI validator
+        // accepts, holding the sentinel-trip instant for this incident and
+        // the run attributes (kernel, threads) that produced it.
+        let text = std::fs::read_to_string(&dump).expect("guardian did not write the trip trace");
+        let summary = apr_telemetry::validate_chrome_trace(&text).expect("trip trace validates");
+        assert!(summary.span_records > 0, "trip trace holds no spans");
+        let doc = apr_telemetry::json::parse(&text).unwrap();
+        let records = doc.as_arr().unwrap();
+        let field = |r: &apr_telemetry::json::Value, k: &str| {
+            r.get(k).and_then(|v| v.as_str().map(str::to_string))
+        };
         assert!(
-            entries.iter().any(|e| {
-                e.get("type").and_then(|t| t.as_str()) == Some("event")
-                    && e.get("kind").and_then(|k| k.as_str()) == Some("sentinel_trip")
-                    && e.get("args")
+            records.iter().any(|r| {
+                field(r, "ph").as_deref() == Some("i")
+                    && field(r, "name").as_deref() == Some("sentinel_trip")
+                    && r.get("args")
                         .and_then(|a| a.get("step"))
                         .and_then(|s| s.as_f64())
                         == Some(trip_step as f64)
             }),
-            "flight record is missing the sentinel-trip event"
+            "trip trace is missing the sentinel-trip event"
         );
-        let total = doc.get("total").and_then(|t| t.as_f64()).unwrap();
+        let attributes: Vec<_> = records
+            .iter()
+            .filter(|r| field(r, "name").as_deref() == Some("run_attribute"))
+            .filter_map(|r| r.get("args"))
+            .collect();
+        for key in ["runtime.kernel", "runtime.threads"] {
+            assert!(
+                attributes.iter().any(|a| a.get(key).is_some()),
+                "trip trace is missing the {key} run attribute"
+            );
+        }
+        let _ = std::fs::remove_file(&dump);
+    }
+
+    /// A NaN in the CTC's membrane rolls back like one in an RBC: the
+    /// guardian restores through the engine's own session state, which
+    /// holds the CTC membrane `add_ctc` captured.
+    #[test]
+    fn ctc_nan_is_rolled_back_and_campaign_completes() {
+        let (mem, mesh) = ctc_membrane();
+        let mut eng = tube_engine(3, 48, 4e-6);
+        let center = eng.anatomy.center;
+        eng.add_ctc(mem, mesh.vertices.iter().map(|&v| v + center).collect());
+        let mut guardian = Guardian::new(SentinelConfig::default(), RetryPolicy::default(), 5);
+        guardian.faults.schedule(
+            8,
+            FaultKind::MembraneNan {
+                cell_index: 0,
+                vertex: 3,
+            },
+        );
+        while eng.steps() < 20 {
+            guardian.step(&mut eng).expect("CTC rollback must succeed");
+        }
+        assert_eq!(guardian.faults.fired_count(), 1, "fault never fired");
+        assert_eq!(
+            guardian.log.rollback_count(),
+            1,
+            "{}",
+            guardian.log.summary()
+        );
+        assert_eq!(eng.pool.live_count(), 1);
         assert!(
-            total >= entries.len() as f64,
-            "total must count every entry ever pushed"
+            eng.pool.iter().all(|c| c.is_finite()),
+            "NaN survived recovery"
         );
-        let _ = std::fs::remove_file(&flightrec);
     }
 
     /// A corrupted lattice distribution also trips the sentinel and is

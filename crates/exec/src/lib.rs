@@ -41,13 +41,10 @@
 //! [`current()`] hands out a shared [`ExecPool`]; [`set_threads`] swaps it
 //! (used by CLI `--threads` flags and the determinism suite).
 
-pub mod lease;
 pub mod pool;
 
-pub use lease::{WorkerBudget, WorkerLease};
 pub use pool::{
-    set_test_start_jitter, thread_cpu_ns, ChunkPlan, ExecPool, GuidedScheduler, RunStats,
-    UnsafeSlice,
+    set_test_start_jitter, thread_cpu_ns, ChunkPlan, ExecPool, GuidedScheduler, UnsafeSlice,
 };
 
 use std::cell::RefCell;
@@ -110,8 +107,8 @@ fn global() -> &'static Mutex<Option<Arc<ExecPool>>> {
 }
 
 thread_local! {
-    /// Stack of scoped pool overrides installed by [`with_pool`] /
-    /// [`WorkerLease::scope`]. Innermost override wins.
+    /// Stack of scoped pool overrides installed by [`with_pool`].
+    /// Innermost override wins.
     static POOL_OVERRIDE: RefCell<Vec<Arc<ExecPool>>> = const { RefCell::new(Vec::new()) };
 }
 

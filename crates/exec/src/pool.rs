@@ -142,7 +142,10 @@ fn apply_start_jitter(lane: usize) {
 #[derive(Clone, Copy)]
 struct Job {
     f: *const (dyn Fn(usize) + Sync),
-    lanes: usize,
+    /// Time each lane into `lane_busy`: captured once per region from the
+    /// recorder that reads the slots, so a region run with telemetry off
+    /// reads no clock.
+    timed: bool,
 }
 
 // SAFETY: the pointer is dereferenced only between job publication and the
@@ -158,8 +161,6 @@ struct PoolState {
     pending: usize,
     /// Panic payloads captured from worker lanes this epoch.
     panics: Vec<Box<dyn std::any::Any + Send>>,
-    /// Busy nanoseconds accumulated by worker lanes this epoch.
-    busy_ns: u64,
     shutdown: bool,
 }
 
@@ -170,32 +171,11 @@ struct Shared {
     /// The submitter waits here for `pending == 0`.
     done: Condvar,
     /// Lock-free per-lane busy-time slots (`lane_busy[lane]`, ns) for the
-    /// most recent region. Each lane writes only its own slot; the
-    /// submitter reads them after the barrier, so plain relaxed ordering
-    /// suffices (the `pending`-protocol mutex orders the accesses).
+    /// most recent timed region — the one lane record, folded into the
+    /// telemetry phase table's `LaneStats`. Each lane writes only its own
+    /// slot; the submitter reads them after the barrier, so plain relaxed
+    /// ordering suffices (the `pending`-protocol mutex orders the accesses).
     lane_busy: Vec<AtomicU64>,
-}
-
-/// Wall/busy accounting for the most recent parallel region.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunStats {
-    /// Wall-clock nanoseconds of the region (submit to last lane done).
-    pub wall_ns: u64,
-    /// Summed per-lane busy nanoseconds.
-    pub busy_ns: u64,
-    /// Lanes the region ran with.
-    pub lanes: usize,
-}
-
-impl RunStats {
-    /// Fraction of the region's lane-seconds actually spent executing —
-    /// `busy / (wall × lanes)`, in `[0, 1]`. 1.0 when nothing has run.
-    pub fn utilization(&self) -> f64 {
-        if self.wall_ns == 0 || self.lanes == 0 {
-            return 1.0;
-        }
-        (self.busy_ns as f64 / (self.wall_ns as f64 * self.lanes as f64)).min(1.0)
-    }
 }
 
 thread_local! {
@@ -218,7 +198,6 @@ pub struct ExecPool {
     /// Serializes parallel regions from concurrent submitters (e.g. two
     /// test threads sharing the global pool).
     submit: Mutex<()>,
-    last_run: Mutex<RunStats>,
     threads: usize,
 }
 
@@ -240,7 +219,6 @@ impl ExecPool {
                 job: None,
                 pending: 0,
                 panics: Vec::new(),
-                busy_ns: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -260,7 +238,6 @@ impl ExecPool {
             shared,
             workers,
             submit: Mutex::new(()),
-            last_run: Mutex::new(RunStats::default()),
             threads,
         }
     }
@@ -273,11 +250,6 @@ impl ExecPool {
     /// Total lane count (worker threads + the submitting thread).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Wall/busy accounting for the most recent parallel region.
-    pub fn last_run_stats(&self) -> RunStats {
-        *self.last_run.lock().unwrap()
     }
 
     /// Execute `f(lane)` once per lane `0..threads()`, returning when every
@@ -329,7 +301,8 @@ impl ExecPool {
             .submit
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let start = Instant::now();
+        let timed = apr_telemetry::is_enabled();
+        let start = timed.then(Instant::now);
         // Erase the closure's lifetime for the workers; `run` does not
         // return until every lane is done, keeping the borrow alive.
         let erased: *const (dyn Fn(usize) + Sync) =
@@ -337,34 +310,29 @@ impl ExecPool {
         {
             let mut st = self.shared.state.lock().unwrap();
             st.epoch += 1;
-            st.job = Some(Job { f: erased, lanes });
+            st.job = Some(Job { f: erased, timed });
             st.pending = lanes - 1;
-            st.busy_ns = 0;
             self.shared.work.notify_all();
         }
         // Lane 0 on the submitting thread.
-        let t0 = BusyTimer::start();
+        let t0 = timed.then(BusyTimer::start);
         IN_POOL.with(|p| p.set(true));
         let lane0 = catch_unwind(AssertUnwindSafe(|| f(0)));
         IN_POOL.with(|p| p.set(false));
-        let lane0_busy = t0.elapsed_ns();
+        if let Some(t0) = t0 {
+            self.shared.lane_busy[0].store(t0.elapsed_ns(), Ordering::Relaxed);
+        }
         // Wait for the workers even if lane 0 panicked.
-        let (busy, panics) = {
+        let panics = {
             let mut st = self.shared.state.lock().unwrap();
             while st.pending > 0 {
                 st = self.shared.done.wait(st).unwrap();
             }
             st.job = None;
-            (st.busy_ns, std::mem::take(&mut st.panics))
+            std::mem::take(&mut st.panics)
         };
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        *self.last_run.lock().unwrap() = RunStats {
-            wall_ns,
-            busy_ns: busy + lane0_busy,
-            lanes,
-        };
-        if panics.is_empty() && lane0.is_ok() && apr_telemetry::is_enabled() {
-            self.shared.lane_busy[0].store(lane0_busy, Ordering::Relaxed);
+        if let Some(start) = start.filter(|_| panics.is_empty() && lane0.is_ok()) {
+            let wall_ns = start.elapsed().as_nanos() as u64;
             let lane_ns: Vec<u64> = self.shared.lane_busy[..lanes]
                 .iter()
                 .map(|slot| slot.load(Ordering::Relaxed))
@@ -704,20 +672,14 @@ fn worker_loop(lane: usize, shared: &Shared) {
                 st = shared.work.wait(st).unwrap();
             }
         };
-        let mut busy = 0u64;
-        let result = if lane < job.lanes {
-            let t0 = BusyTimer::start();
-            // SAFETY: see `Job` — the submitter keeps the closure alive
-            // until `pending` reaches zero below.
-            let r = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.f)(lane) }));
-            busy = t0.elapsed_ns();
-            r
-        } else {
-            Ok(())
-        };
-        shared.lane_busy[lane].store(busy, Ordering::Relaxed);
+        let t0 = job.timed.then(BusyTimer::start);
+        // SAFETY: see `Job` — the submitter keeps the closure alive until
+        // `pending` reaches zero below.
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.f)(lane) }));
+        if let Some(t0) = t0 {
+            shared.lane_busy[lane].store(t0.elapsed_ns(), Ordering::Relaxed);
+        }
         let mut st = shared.state.lock().unwrap();
-        st.busy_ns += busy;
         if let Err(payload) = result {
             st.panics.push(payload);
         }
@@ -872,18 +834,6 @@ mod tests {
         assert_eq!(survived.load(Ordering::SeqCst), 3);
         // The pool stays usable after a panic.
         pool.run(&|_| {});
-    }
-
-    #[test]
-    fn utilization_is_reported() {
-        let pool = ExecPool::new(2);
-        pool.run(&|_| {
-            std::hint::black_box((0..10_000).sum::<u64>());
-        });
-        let stats = pool.last_run_stats();
-        assert_eq!(stats.lanes, 2);
-        let u = stats.utilization();
-        assert!((0.0..=1.0).contains(&u), "utilization {u}");
     }
 
     #[test]

@@ -297,10 +297,6 @@ fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
     }
     if apr_telemetry::is_enabled() {
         let overlapped = overlapped.load(Ordering::Relaxed);
-        apr_telemetry::gauge_set(
-            "exec.lattice.step.utilization",
-            pool.last_run_stats().utilization(),
-        );
         apr_telemetry::gauge_set("lattice.step.chunks", chunks as f64);
         apr_telemetry::gauge_set(
             "lattice.step.deferred_swaps",
@@ -406,12 +402,6 @@ impl KernelBackend for FusedSwapKernel {
                 unsafe { collide_node_reversed(&ctx, node) };
             }
         });
-        if apr_telemetry::is_enabled() {
-            apr_telemetry::gauge_set(
-                "exec.lattice.collide.utilization",
-                pool.last_run_stats().utilization(),
-            );
-        }
     }
 
     /// Streaming half for reversed-stored populations: replay the op table
@@ -425,12 +415,6 @@ impl KernelBackend for FusedSwapKernel {
         let rho: &[f64] = view.rho;
         let f = UnsafeSlice::new(view.f.as_mut_slice());
         pool.par_for_guided(plan, |_, range| replay_range(table, &f, rho, range));
-        if apr_telemetry::is_enabled() {
-            apr_telemetry::gauge_set(
-                "exec.lattice.stream.utilization",
-                pool.last_run_stats().utilization(),
-            );
-        }
     }
 
     /// Fused full step: one pool dispatch for both phases, with the

@@ -116,12 +116,6 @@ impl KernelBackend for ReferenceKernel {
                 fs.copy_from_slice(&post);
             }
         });
-        if apr_telemetry::is_enabled() {
-            apr_telemetry::gauge_set(
-                "exec.lattice.collide.utilization",
-                pool.last_run_stats().utilization(),
-            );
-        }
     }
 
     /// Pull-streaming with halfway bounce-back (optionally moving walls).
@@ -205,10 +199,6 @@ impl KernelBackend for ReferenceKernel {
             }
         });
         if apr_telemetry::is_enabled() {
-            apr_telemetry::gauge_set(
-                "exec.lattice.stream.utilization",
-                pool.last_run_stats().utilization(),
-            );
             apr_telemetry::gauge_set("lattice.stream.grain", grain as f64);
         }
         std::mem::swap(view.f, &mut self.scratch);

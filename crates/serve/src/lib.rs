@@ -33,7 +33,7 @@
 //! - [`cache`] — [`WarmCache`], the scenario-hash-keyed warm-state cache.
 //! - [`store`] — [`SpillStore`], the two-tier parked-checkpoint pool.
 //! - [`service`] — [`SimService`]: admission control, the round-robin
-//!   scheduler, worker leasing, preempt/park/resume.
+//!   scheduler, per-worker exec pools, preempt/park/resume.
 //! - [`progress`] — [`ProgressHub`], the service's bounded broadcast
 //!   channel of per-slice [`ProgressSample`]s.
 //! - [`metrics`] — [`ServiceMetrics`], the service-level aggregate view.
@@ -44,9 +44,9 @@
 //!   is byte-identical whether it ran straight through or was preempted
 //!   any number of times, at any worker/lane configuration, regardless of
 //!   what other sessions shared the service.
-//! - **Bounded occupancy.** Engine work only runs inside a
-//!   [`WorkerBudget`](apr_exec::WorkerBudget) lease, so lane occupancy
-//!   never exceeds `workers × lanes_per_worker`.
+//! - **Bounded occupancy.** Engine work only runs on its worker's
+//!   `lanes_per_worker`-lane exec pool, so lane occupancy never exceeds
+//!   `workers × lanes_per_worker`.
 //! - **Fault isolation.** A panicking session completes with an error
 //!   result; its worker and every other session continue.
 //!

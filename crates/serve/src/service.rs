@@ -1,15 +1,16 @@
-//! The scheduler: N ≫ cores sessions time-sliced over a bounded worker
-//! budget by checkpoint-preempt-resume.
+//! The scheduler: N ≫ cores sessions time-sliced over a fixed set of
+//! workers by checkpoint-preempt-resume.
 //!
 //! ## Scheduling policy
 //!
 //! Round-robin over a FIFO ready queue, with the slice budget measured in
 //! **engine steps**, not wall time — a deterministic unit, so the sequence
 //! of states every session passes through is independent of machine load,
-//! worker count, and scheduling order. A granted session leases
-//! `lanes_per_worker` lanes from the shared [`WorkerBudget`], runs inside
-//! the lease's pool scope (every `apr_exec::current()` call the engine
-//! makes lands on the leased pool), steps at most `slice_steps`, then
+//! worker count, and scheduling order. Each worker owns one exec pool of
+//! `lanes_per_worker` lanes, installed as its thread's current pool for the
+//! worker's lifetime (every `apr_exec::current()` call an engine makes
+//! lands on it, so lane occupancy never exceeds `workers ×
+//! lanes_per_worker`). A granted session steps at most `slice_steps`, then
 //! either completes or is **preempted**: suspended via the engine's
 //! bit-exact checkpoint, parked in an in-memory [`MemoryStore`], and
 //! re-queued at the back. Nothing touches disk on the preempt hot path.
@@ -27,7 +28,7 @@
 //!
 //! Each slice runs under `catch_unwind`: a session whose engine panics
 //! (numerical blow-up) completes with an error result; the worker thread,
-//! its lease, and every other session are unaffected.
+//! its pool, and every other session are unaffected.
 
 use crate::cache::WarmCache;
 use crate::metrics::ServiceMetrics;
@@ -35,7 +36,7 @@ use crate::progress::{ProgressHub, ProgressSample, ProgressSubscription};
 use crate::session::{JobSpec, SessionResult, SessionStats, SessionStatus};
 use crate::store::SpillStore;
 use apr_core::SimSession;
-use apr_exec::WorkerBudget;
+use apr_exec::ExecPool;
 use apr_guard::FileStore;
 use apr_telemetry::TelemetryEvent;
 use std::collections::{HashMap, VecDeque};
@@ -49,8 +50,8 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Scheduler worker threads (concurrent sessions in flight).
     pub workers: usize,
-    /// Exec-pool lanes each running slice leases from the shared budget;
-    /// total lane occupancy never exceeds `workers * lanes_per_worker`.
+    /// Lanes of each worker's exec pool; total lane occupancy never
+    /// exceeds `workers * lanes_per_worker`.
     pub lanes_per_worker: usize,
     /// Time-slice budget in engine steps (deterministic preemption unit).
     pub slice_steps: u64,
@@ -158,7 +159,6 @@ fn park_key(id: u64) -> String {
 /// drop).
 pub struct SimService {
     shared: Arc<Shared>,
-    budget: Arc<WorkerBudget>,
     config: ServeConfig,
     workers: Vec<JoinHandle<()>>,
     started: Instant,
@@ -167,8 +167,8 @@ pub struct SimService {
 }
 
 impl SimService {
-    /// Start the service: spawns `config.workers` scheduler threads
-    /// sharing a `workers × lanes_per_worker`-lane budget.
+    /// Start the service: spawns `config.workers` scheduler threads, each
+    /// with its own `lanes_per_worker`-lane exec pool.
     pub fn start(config: ServeConfig) -> Self {
         static INSTANCE: AtomicU64 = AtomicU64::new(0);
         let service_id = INSTANCE.fetch_add(1, Ordering::Relaxed);
@@ -202,22 +202,20 @@ impl SimService {
             progress: ProgressHub::new(),
             shutdown: AtomicBool::new(false),
         });
-        let budget = Arc::new(WorkerBudget::new(
-            config.workers * config.lanes_per_worker.max(1),
-        ));
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let budget = Arc::clone(&budget);
                 std::thread::Builder::new()
                     .name(format!("apr-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, &budget, config))
+                    .spawn(move || {
+                        let pool = Arc::new(ExecPool::new(config.lanes_per_worker));
+                        apr_exec::with_pool(pool, || worker_loop(&shared, config))
+                    })
                     .expect("spawn serve worker")
             })
             .collect();
         Self {
             shared,
-            budget,
             config,
             workers,
             started: Instant::now(),
@@ -228,11 +226,6 @@ impl SimService {
     /// The service's sizing config.
     pub fn config(&self) -> &ServeConfig {
         &self.config
-    }
-
-    /// The shared worker budget (exposed for occupancy assertions).
-    pub fn budget(&self) -> &Arc<WorkerBudget> {
-        &self.budget
     }
 
     /// The warm-state cache (hit/miss counters feed the metrics).
@@ -424,7 +417,7 @@ fn progress_sample(
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfig) {
+fn worker_loop(shared: &Arc<Shared>, cfg: ServeConfig) {
     loop {
         let mut st = shared.state.lock().unwrap();
         let id = loop {
@@ -453,22 +446,16 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
         let steps_done = entry.steps_done;
         drop(st);
 
-        // Lease lanes for the slice; the lease scope routes every
-        // apr_exec::current() call inside to the leased pool.
-        let lease = budget.lease(cfg.lanes_per_worker);
         let slice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            lease.scope(|| {
-                run_slice(
-                    &shared.cache,
-                    id,
-                    &spec,
-                    steps_done,
-                    parked,
-                    cfg.slice_steps,
-                )
-            })
+            run_slice(
+                &shared.cache,
+                id,
+                &spec,
+                steps_done,
+                parked,
+                cfg.slice_steps,
+            )
         }));
-        drop(lease);
 
         let mut st = shared.state.lock().unwrap();
         let grants = st.grants;
@@ -560,8 +547,8 @@ fn worker_loop(shared: &Arc<Shared>, budget: &Arc<WorkerBudget>, cfg: ServeConfi
 
 /// Run one time slice of session `id`: materialize the engine (parked
 /// checkpoint → warm cache → cold build, in that order), step up to
-/// `slice_steps`, and suspend. Runs inside the worker's lease scope and
-/// the session's telemetry scope.
+/// `slice_steps`, and suspend. Runs on the worker's pool and inside the
+/// session's telemetry scope.
 fn run_slice(
     cache: &WarmCache,
     id: u64,

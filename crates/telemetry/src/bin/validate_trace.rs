@@ -2,16 +2,16 @@
 //!
 //! ```sh
 //! cargo run -p apr-telemetry --bin validate_trace -- trace.json [metrics.jsonl] \
-//!     [--min-coverage 0.95] [--flightrec flightrec.json]
+//!     [--min-coverage 0.95]
 //! ```
 //!
 //! Exits non-zero unless the Chrome trace parses, is schema-complete with
 //! monotone timestamps, and its depth-1 phase spans cover at least the
 //! requested fraction of top-level step time; the optional metrics JSONL
-//! must parse as a non-empty monotone time series; the optional flight
-//! record must carry the attribution header (session + runtime config).
+//! must parse as a non-empty monotone time series. A guardian trip dump
+//! is a Chrome trace too and validates the same way.
 
-use apr_telemetry::{validate_chrome_trace, validate_flightrec, validate_metrics_jsonl};
+use apr_telemetry::{validate_chrome_trace, validate_metrics_jsonl};
 
 fn fail(msg: &str) -> ! {
     eprintln!("validate_trace: {msg}");
@@ -21,17 +21,10 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut flightrec_path: Option<String> = None;
     let mut min_coverage = 0.0f64;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--flightrec" => {
-                flightrec_path = Some(
-                    args.next()
-                        .unwrap_or_else(|| fail("--flightrec needs a path")),
-                );
-            }
             "--min-coverage" => {
                 let v = args
                     .next()
@@ -46,9 +39,7 @@ fn main() {
         }
     }
     let trace_path = trace_path.unwrap_or_else(|| {
-        fail(
-            "usage: validate_trace <trace.json> [metrics.jsonl] [--min-coverage F] [--flightrec F]",
-        )
+        fail("usage: validate_trace <trace.json> [metrics.jsonl] [--min-coverage F]")
     });
 
     let text = std::fs::read_to_string(&trace_path)
@@ -78,18 +69,5 @@ fn main() {
         println!("{metrics_path}: {} metric samples, monotone", m.rows);
     }
 
-    if let Some(flightrec_path) = flightrec_path {
-        let text = std::fs::read_to_string(&flightrec_path)
-            .unwrap_or_else(|e| fail(&format!("cannot read {flightrec_path}: {e}")));
-        let f =
-            validate_flightrec(&text).unwrap_or_else(|e| fail(&format!("{flightrec_path}: {e}")));
-        let runtime: Vec<String> = f.runtime.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        println!(
-            "{flightrec_path}: {} entries, session {}, runtime [{}]",
-            f.entries,
-            f.session,
-            runtime.join(", ")
-        );
-    }
     println!("OK");
 }

@@ -8,17 +8,61 @@
 //! their payload in `args`. Records are sorted by start timestamp so the
 //! file is monotone — a property the CI validator asserts.
 
-use crate::events::TelemetryEvent;
+use crate::events::{TelemetryEvent, TimedEvent};
 use crate::json::{escape, number};
 use crate::metrics::MetricValue;
-use crate::span::{PhaseStat, Recorder};
+use crate::record::Record;
+use crate::span::{PhaseStat, Recorder, SpanRecord};
 use std::fmt::Write as _;
 
 /// Chrome-trace process id used for every record (one simulation = one
 /// logical process).
 pub const TRACE_PID: u64 = 1;
 
-pub(crate) fn event_args(ev: &TelemetryEvent, out: &mut String) {
+/// One span as a complete (`"X"`) record.
+fn span_json(span: &SpanRecord) -> String {
+    let mut rec = String::with_capacity(160);
+    let _ = write!(
+        rec,
+        "{{\"name\":{},\"cat\":\"apr\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{TRACE_PID},\"tid\":{},\"args\":{{\"depth\":{},\"self_ns\":{}",
+        escape(span.name),
+        number(span.start_ns as f64 / 1e3),
+        number(span.dur_ns as f64 / 1e3),
+        span.tid,
+        span.depth,
+        span.self_ns,
+    );
+    // Correlation IDs are emitted only when scoped, keeping unscoped
+    // traces byte-identical to the pre-correlation format (and
+    // Perfetto-compatible: args are free-form).
+    if span.session != 0 {
+        let _ = write!(rec, ",\"session\":{}", span.session);
+    }
+    if let Some(rank) = span.rank {
+        let _ = write!(rec, ",\"rank\":{rank}");
+    }
+    if span.step != 0 {
+        let _ = write!(rec, ",\"step\":{}", span.step);
+    }
+    rec.push_str("}}");
+    rec
+}
+
+/// One typed event as a global instant (`"i"`) record.
+fn event_json(timed: &TimedEvent) -> String {
+    let mut rec = String::with_capacity(160);
+    let _ = write!(
+        rec,
+        "{{\"name\":{},\"cat\":\"apr.event\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":{TRACE_PID},\"tid\":0,\"args\":{{",
+        escape(timed.event.kind()),
+        number(timed.t_ns as f64 / 1e3),
+    );
+    event_args(&timed.event, &mut rec);
+    rec.push_str("}}");
+    rec
+}
+
+fn event_args(ev: &TelemetryEvent, out: &mut String) {
     match *ev {
         TelemetryEvent::WindowMove {
             step,
@@ -133,51 +177,26 @@ pub(crate) fn event_args(ev: &TelemetryEvent, out: &mut String) {
 }
 
 impl Recorder {
-    /// Render everything captured so far as a Chrome `trace_event` JSON
+    /// Render every retained span and event as a Chrome `trace_event` JSON
     /// array, records sorted by start timestamp. Load the result in
     /// `about://tracing` or Perfetto.
     pub fn chrome_trace_json(&self) -> String {
+        self.chrome_trace_json_newest(usize::MAX)
+    }
+
+    /// [`Recorder::chrome_trace_json`] limited to the `newest` most
+    /// recently completed spans and events (a post-mortem dump).
+    pub fn chrome_trace_json_newest(&self, newest: usize) -> String {
         let inner = self.inner.lock().unwrap();
+        let skip = inner.records.len().saturating_sub(newest);
         // (ts_ns, rendered record) pairs, sorted at the end.
-        let mut records: Vec<(u64, String)> = Vec::with_capacity(inner.trace.len() + 8);
-        for span in &inner.trace {
-            let mut rec = String::with_capacity(160);
-            let _ = write!(
-                rec,
-                "{{\"name\":{},\"cat\":\"apr\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{TRACE_PID},\"tid\":{},\"args\":{{\"depth\":{},\"self_ns\":{}",
-                escape(span.name),
-                number(span.start_ns as f64 / 1e3),
-                number(span.dur_ns as f64 / 1e3),
-                span.tid,
-                span.depth,
-                span.self_ns,
-            );
-            // Correlation IDs are emitted only when scoped, keeping
-            // unscoped traces byte-identical to the pre-correlation
-            // format (and Perfetto-compatible: args are free-form).
-            if span.session != 0 {
-                let _ = write!(rec, ",\"session\":{}", span.session);
-            }
-            if let Some(rank) = span.rank {
-                let _ = write!(rec, ",\"rank\":{rank}");
-            }
-            if span.step != 0 {
-                let _ = write!(rec, ",\"step\":{}", span.step);
-            }
-            rec.push_str("}}");
-            records.push((span.start_ns, rec));
-        }
-        for timed in &inner.events {
-            let mut args = String::with_capacity(96);
-            event_args(&timed.event, &mut args);
-            let mut rec = String::with_capacity(160);
-            let _ = write!(
-                rec,
-                "{{\"name\":{},\"cat\":\"apr.event\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":{TRACE_PID},\"tid\":0,\"args\":{{{args}}}}}",
-                escape(timed.event.kind()),
-                number(timed.t_ns as f64 / 1e3),
-            );
-            records.push((timed.t_ns, rec));
+        let mut records: Vec<(u64, String)> = Vec::with_capacity(inner.records.len() - skip);
+        for record in inner.records.iter().skip(skip) {
+            let (ts, rec) = match record {
+                Record::Span(span) => (span.start_ns, span_json(span)),
+                Record::Event(timed) => (timed.t_ns, event_json(timed)),
+            };
+            records.push((ts, rec));
         }
         drop(inner);
         records.sort_by_key(|&(ts, _)| ts);
@@ -206,7 +225,6 @@ impl Recorder {
         out.push(']');
         out
     }
-
     /// Write the Chrome trace to `path`.
     pub fn write_chrome_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.chrome_trace_json())
@@ -229,30 +247,10 @@ impl Recorder {
                     let _ = write!(row, "{c}");
                 }
                 MetricValue::Gauge(g) => row.push_str(&number(*g)),
-                MetricValue::Histogram(h) => {
-                    let _ = write!(row, "{{\"bounds\":[");
-                    for (i, b) in h.bounds.iter().enumerate() {
-                        if i > 0 {
-                            row.push(',');
-                        }
-                        row.push_str(&number(*b));
-                    }
-                    let _ = write!(row, "],\"counts\":[");
-                    for (i, c) in h.counts.iter().enumerate() {
-                        if i > 0 {
-                            row.push(',');
-                        }
-                        let _ = write!(row, "{c}");
-                    }
-                    let _ = write!(row, "],\"count\":{},\"sum\":{}}}", h.count, number(h.sum));
-                }
             }
         }
         row.push('}');
         inner.metric_rows.push(row);
-        inner
-            .flight
-            .push(crate::flight::FlightEntry::MetricsSample { t_ns, step });
     }
 
     /// All metric samples as a JSONL document (one JSON object per line).
@@ -316,7 +314,6 @@ mod tests {
         rec.enable();
         rec.counter_add("sites", 100);
         rec.gauge_set("ht", 0.25);
-        rec.histogram_record("lat", &[1.0, 2.0], 1.5);
         rec.sample_metrics(1);
         rec.clock().advance(10);
         rec.counter_add("sites", 50);
@@ -329,8 +326,6 @@ mod tests {
         assert_eq!(row.get("t_ns").unwrap().as_f64(), Some(10.0));
         assert_eq!(row.get("sites").unwrap().as_f64(), Some(150.0));
         assert_eq!(row.get("ht").unwrap().as_f64(), Some(0.25));
-        let h = row.get("lat").unwrap();
-        assert_eq!(h.get("count").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]

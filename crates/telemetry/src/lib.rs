@@ -8,16 +8,22 @@
 //!   nestable and thread-aware, aggregated into a flat per-phase
 //!   wall/self-time table and exportable as Chrome `trace_event` JSON
 //!   (openable in `about://tracing` or [Perfetto](https://ui.perfetto.dev));
-//! * **metrics** — named counters, gauges and fixed-bucket histograms
-//!   with a JSONL time-series exporter;
+//! * **metrics** — named counters and gauges with a JSONL time-series
+//!   exporter;
 //! * **events** — a typed stream of discrete happenings (window moves,
 //!   repopulations, guardian rollbacks, halo resends).
+//!
+//! Completed spans and events are kept once, in one bounded
+//! overwrite-oldest buffer in completion order (capacity
+//! [`DEFAULT_RECORD_CAPACITY`], [`Recorder::set_capacity`]), and
+//! serialized by one renderer, the Chrome one; a guardian trip dumps the
+//! newest records of that same trace.
 //!
 //! Everything hangs off one process-global [`Recorder`] reached through
 //! the free functions below. Telemetry is **disabled by default**: a
 //! disabled recorder costs one relaxed atomic load per call site and
-//! allocates nothing, so instrumented hot paths pay effectively zero when
-//! observability is off (`tests/no_alloc.rs` pins this down).
+//! allocates nothing, and an enabled one at capacity allocates nothing per
+//! further span or event (`tests/no_alloc.rs` pins both down).
 //!
 //! Beside the recorder, [`ledger`] is the per-engine conservation ledger:
 //! per-step mass/momentum totals of the bulk and the moving window, window
@@ -45,26 +51,23 @@
 pub mod clock;
 pub mod events;
 pub mod export;
-pub mod flight;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
+mod record;
 pub mod span;
 pub mod validate;
 
 pub use clock::Clock;
 pub use events::{TelemetryEvent, TimedEvent};
 pub use export::render_phase_table;
-pub use flight::{FlightEntry, DEFAULT_FLIGHT_CAPACITY, FLIGHTREC_SCHEMA};
-pub use metrics::{Histogram, MetricValue};
+pub use metrics::MetricValue;
 pub use span::{
     current_rank, current_session, current_step, rank_scope, session_scope, step_scope, LaneStats,
     PhaseStat, RankScope, Recorder, ScopedSpan, SessionScope, SpanRecord, StepScope,
+    DEFAULT_RECORD_CAPACITY,
 };
-pub use validate::{
-    validate_chrome_trace, validate_flightrec, validate_metrics_jsonl, FlightSummary,
-    MetricsSummary, TraceSummary,
-};
+pub use validate::{validate_chrome_trace, validate_metrics_jsonl, MetricsSummary, TraceSummary};
 
 use std::sync::OnceLock;
 
@@ -115,13 +118,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
 #[inline]
 pub fn gauge_set(name: &'static str, v: f64) {
     global().gauge_set(name, v);
-}
-
-/// Record into a global fixed-bucket histogram (`bounds` bind on first
-/// touch).
-#[inline]
-pub fn histogram_record(name: &'static str, bounds: &[f64], v: f64) {
-    global().histogram_record(name, bounds, v);
 }
 
 /// Set a run-level attribute on the global recorder (e.g. which kernel

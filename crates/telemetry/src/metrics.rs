@@ -1,123 +1,6 @@
-//! Metric value types: monotone counters, last-value gauges, and
-//! fixed-bucket histograms.
+//! Metric value types: monotone counters and last-value gauges.
 //!
-//! The registry itself lives in the [`crate::Recorder`]; this module holds
-//! the arithmetic so it can be tested without a recorder.
-
-/// A fixed-bucket histogram: `bounds[i]` is the inclusive upper edge of
-/// bucket `i`; one final overflow bucket catches everything above the last
-/// bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Ascending inclusive upper bucket edges.
-    pub bounds: Vec<f64>,
-    /// Per-bucket observation counts; `counts.len() == bounds.len() + 1`.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Smallest observation (`+inf` when empty; NaN observations ignored).
-    pub min: f64,
-    /// Largest observation (`-inf` when empty; NaN observations ignored).
-    pub max: f64,
-}
-
-impl Histogram {
-    /// New histogram over ascending `bounds` (must be non-empty, finite,
-    /// strictly increasing).
-    pub fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
-            "histogram bounds must be finite and strictly increasing"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation. NaN observations land in the overflow
-    /// bucket (they are a signal worth keeping, not dropping).
-    pub fn record(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Nearest-rank percentile estimate, `q` in `[0, 1]`. The value is
-    /// quantized to the upper edge of the bucket holding the `⌈q·count⌉`-th
-    /// observation, clamped to the observed `[min, max]`; `q = 0` returns
-    /// the observed minimum exactly and `q = 1` the maximum. Returns 0.0
-    /// when empty. Resolution is therefore one bucket width — choose
-    /// geometric bounds for a relative-error guarantee.
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let (min, max) = (self.min.min(self.max), self.max.max(self.min));
-        if q <= 0.0 {
-            return min;
-        }
-        if q >= 1.0 {
-            return max;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                let edge = self.bounds.get(i).copied().unwrap_or(max);
-                return edge.clamp(min, max);
-            }
-        }
-        max
-    }
-
-    /// Fold `other` into `self`. Both histograms must share identical
-    /// bounds (merging across bucket layouts would silently misbin).
-    /// Associative and commutative, so per-shard histograms can be
-    /// combined in any order.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "histogram bounds must match to merge"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Mean of observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Observations above the last bound.
-    pub fn overflow(&self) -> u64 {
-        *self.counts.last().unwrap()
-    }
-}
+//! The registry itself lives in the [`crate::Recorder`].
 
 /// One named metric's current value.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,101 +9,4 @@ pub enum MetricValue {
     Counter(u64),
     /// Last-set value.
     Gauge(f64),
-    /// Fixed-bucket distribution.
-    Histogram(Histogram),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bucketing_is_inclusive_upper_edge() {
-        let mut h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0] {
-            h.record(v);
-        }
-        // (-inf,1] = {0.5, 1.0}; (1,2] = {1.5, 2.0}; (2,4] = {3.0, 4.0};
-        // (4,inf) = {9.0}.
-        assert_eq!(h.counts, vec![2, 2, 2, 1]);
-        assert_eq!(h.count, 7);
-        assert_eq!(h.overflow(), 1);
-        assert!((h.mean() - 21.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentiles_are_exact_on_edge_aligned_values() {
-        let mut h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0] {
-            h.record(v);
-        }
-        assert_eq!(h.percentile(0.0), 0.5);
-        // ⌈0.5·7⌉ = 4th observation → bucket (1,2].
-        assert_eq!(h.percentile(0.5), 2.0);
-        // ⌈0.95·7⌉ = 7th observation → overflow, clamped to max.
-        assert_eq!(h.percentile(0.95), 9.0);
-        assert_eq!(h.percentile(1.0), 9.0);
-        assert_eq!(Histogram::new(&[1.0]).percentile(0.5), 0.0);
-    }
-
-    #[test]
-    fn percentile_clamps_to_observed_range() {
-        let mut h = Histogram::new(&[100.0, 200.0]);
-        h.record(42.0);
-        h.record(42.0);
-        // Both observations sit in bucket (-inf,100]; the edge estimate
-        // 100.0 is clamped to the observed max.
-        assert_eq!(h.percentile(0.5), 42.0);
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let bounds = [1.0, 2.0, 4.0];
-        let mk = |vals: &[f64]| {
-            let mut h = Histogram::new(&bounds);
-            for &v in vals {
-                h.record(v);
-            }
-            h
-        };
-        let (a, b, c) = (mk(&[0.5, 3.0]), mk(&[1.5]), mk(&[9.0, 2.0]));
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c.count, 5);
-        assert_eq!(ab_c.min, 0.5);
-        assert_eq!(ab_c.max, 9.0);
-        assert_eq!(ab_c.percentile(0.5), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bounds must match")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::new(&[1.0]);
-        a.merge(&Histogram::new(&[2.0]));
-    }
-
-    #[test]
-    fn nan_goes_to_overflow() {
-        let mut h = Histogram::new(&[1.0]);
-        h.record(f64::NAN);
-        assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn rejects_unsorted_bounds() {
-        let _ = Histogram::new(&[2.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bound")]
-    fn rejects_empty_bounds() {
-        let _ = Histogram::new(&[]);
-    }
 }

@@ -13,15 +13,17 @@
 
 use crate::clock::Clock;
 use crate::events::{TelemetryEvent, TimedEvent};
-use crate::metrics::{Histogram, MetricValue};
+use crate::metrics::MetricValue;
+use crate::record::{Record, RecordRing};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Default cap on retained span records (~48 MB worst case); beyond it the
-/// flat aggregates keep updating but the trace stops growing.
-pub const DEFAULT_SPAN_CAPACITY: usize = 1_000_000;
+/// Default bound on retained span and event records (~88 MB when full);
+/// beyond it the oldest records are overwritten while the flat aggregates
+/// keep updating.
+pub const DEFAULT_RECORD_CAPACITY: usize = 1_000_000;
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -315,29 +317,22 @@ struct PhaseAcc {
 #[derive(Debug)]
 pub(crate) struct Inner {
     stacks: HashMap<u64, Vec<Frame>>,
-    pub(crate) trace: Vec<SpanRecord>,
+    /// Completed spans and events, in completion order.
+    pub(crate) records: RecordRing,
     stats: BTreeMap<&'static str, PhaseAcc>,
-    span_capacity: usize,
-    pub(crate) dropped_spans: u64,
     pub(crate) metrics: BTreeMap<&'static str, MetricValue>,
     pub(crate) metric_rows: Vec<String>,
-    pub(crate) events: Vec<TimedEvent>,
-    pub(crate) flight: crate::flight::FlightRing,
     pub(crate) attributes: BTreeMap<&'static str, String>,
 }
 
 impl Inner {
-    fn new() -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             stacks: HashMap::new(),
-            trace: Vec::new(),
+            records: RecordRing::new(capacity),
             stats: BTreeMap::new(),
-            span_capacity: DEFAULT_SPAN_CAPACITY,
-            dropped_spans: 0,
             metrics: BTreeMap::new(),
             metric_rows: Vec::new(),
-            events: Vec::new(),
-            flight: crate::flight::FlightRing::new(crate::flight::DEFAULT_FLIGHT_CAPACITY),
             attributes: BTreeMap::new(),
         }
     }
@@ -374,7 +369,7 @@ impl Recorder {
         Self {
             enabled: AtomicBool::new(false),
             clock,
-            inner: Mutex::new(Inner::new()),
+            inner: Mutex::new(Inner::new(DEFAULT_RECORD_CAPACITY)),
         }
     }
 
@@ -403,22 +398,21 @@ impl Recorder {
     /// enable state and capacity.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
-        let cap = inner.span_capacity;
-        let flight_cap = inner.flight.capacity();
-        *inner = Inner::new();
-        inner.span_capacity = cap;
-        inner.flight = crate::flight::FlightRing::new(flight_cap);
+        let cap = inner.records.capacity();
+        *inner = Inner::new(cap);
     }
 
-    /// Cap the retained span-record count (aggregates keep updating past
-    /// the cap; the overflow is reported by [`Recorder::dropped_spans`]).
-    pub fn set_span_capacity(&self, cap: usize) {
-        self.inner.lock().unwrap().span_capacity = cap;
+    /// Bound the retained span and event records to `cap` (default
+    /// [`DEFAULT_RECORD_CAPACITY`]). Past it the oldest records are
+    /// overwritten and counted by [`Recorder::dropped`]; the per-phase
+    /// aggregates keep updating.
+    pub fn set_capacity(&self, cap: usize) {
+        self.inner.lock().unwrap().records.set_capacity(cap);
     }
 
-    /// Span records discarded after the capacity was reached.
-    pub fn dropped_spans(&self) -> u64 {
-        self.inner.lock().unwrap().dropped_spans
+    /// Span and event records overwritten since the last reset.
+    pub fn dropped(&self) -> u64 {
+        self.inner.lock().unwrap().records.dropped()
     }
 
     /// Open a span; the returned guard closes it on drop. Near-zero cost
@@ -485,7 +479,7 @@ impl Recorder {
         acc.max_ns = acc.max_ns.max(dur_ns);
         acc.barrier_ns += frame.barrier_ns;
         acc.workers.merge(&frame.workers);
-        let record = SpanRecord {
+        inner.records.push(Record::Span(SpanRecord {
             name: frame.name,
             tid,
             start_ns: frame.start_ns,
@@ -495,13 +489,7 @@ impl Recorder {
             session: frame.session,
             rank: frame.rank,
             step: frame.step,
-        };
-        if inner.trace.len() < inner.span_capacity {
-            inner.trace.push(record);
-        } else {
-            inner.dropped_spans += 1;
-        }
-        inner.flight.push(crate::flight::FlightEntry::Span(record));
+        }));
     }
 
     /// Attribute one `apr-exec` parallel region to the innermost open span
@@ -562,24 +550,6 @@ impl Recorder {
         }
     }
 
-    /// Record `v` into a named fixed-bucket histogram; `bounds` defines
-    /// the buckets on first touch and is ignored afterwards.
-    #[inline]
-    pub fn histogram_record(&self, name: &'static str, bounds: &[f64], v: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .metrics
-            .entry(name)
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new(bounds)))
-        {
-            MetricValue::Histogram(h) => h.record(v),
-            other => debug_assert!(false, "metric {name} is not a histogram: {other:?}"),
-        }
-    }
-
     /// Current value of a metric, if registered.
     pub fn metric(&self, name: &str) -> Option<MetricValue> {
         self.inner.lock().unwrap().metrics.get(name).cloned()
@@ -619,32 +589,46 @@ impl Recorder {
             return;
         }
         let t_ns = self.clock.now_ns();
-        let timed = TimedEvent { t_ns, event };
-        let mut inner = self.inner.lock().unwrap();
-        inner.events.push(timed);
-        inner.flight.push(crate::flight::FlightEntry::Event(timed));
-    }
-
-    /// All events emitted so far, in emission order.
-    pub fn events(&self) -> Vec<TimedEvent> {
-        self.inner.lock().unwrap().events.clone()
-    }
-
-    /// All completed span records, in completion order.
-    pub fn span_records(&self) -> Vec<SpanRecord> {
-        self.inner.lock().unwrap().trace.clone()
-    }
-
-    /// Completed span records attributed to one serve session (see
-    /// [`session_scope`]); `session` 0 selects unscoped spans.
-    pub fn session_span_records(&self, session: u64) -> Vec<SpanRecord> {
         self.inner
             .lock()
             .unwrap()
-            .trace
+            .records
+            .push(Record::Event(TimedEvent { t_ns, event }));
+    }
+
+    /// Retained events, in emission order.
+    pub fn events(&self) -> Vec<TimedEvent> {
+        let inner = self.inner.lock().unwrap();
+        inner
+            .records
             .iter()
-            .filter(|r| r.session == session)
-            .copied()
+            .filter_map(|r| match r {
+                Record::Event(e) => Some(*e),
+                Record::Span(_) => None,
+            })
+            .collect()
+    }
+
+    /// Retained span records, in completion order.
+    pub fn span_records(&self) -> Vec<SpanRecord> {
+        self.spans_where(|_| true)
+    }
+
+    /// Retained span records attributed to one serve session (see
+    /// [`session_scope`]); `session` 0 selects unscoped spans.
+    pub fn session_span_records(&self, session: u64) -> Vec<SpanRecord> {
+        self.spans_where(|s| s == session)
+    }
+
+    fn spans_where(&self, keep: impl Fn(u64) -> bool) -> Vec<SpanRecord> {
+        let inner = self.inner.lock().unwrap();
+        inner
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                Record::Span(s) if keep(s.session) => Some(*s),
+                _ => None,
+            })
             .collect()
     }
 
@@ -758,17 +742,49 @@ mod tests {
     }
 
     #[test]
-    fn capacity_caps_trace_but_not_stats() {
+    fn full_buffer_keeps_the_newest_records_in_completion_order() {
+        let (cap, k) = (6usize, 5usize);
         let rec = Recorder::with_clock(Clock::manual());
         rec.enable();
-        rec.set_span_capacity(2);
-        for _ in 0..5 {
-            let _s = rec.span("p");
+        rec.set_capacity(cap);
+        // Spans and events interleaved, each record stamped with its
+        // completion index so the survivors can be named.
+        for i in 0..(cap + k) as u64 {
             rec.clock().advance(1);
+            if i % 2 == 0 {
+                let _s = rec.span("p");
+            } else {
+                rec.emit(TelemetryEvent::EscapedCells { step: i, count: 1 });
+            }
         }
-        assert_eq!(rec.span_records().len(), 2);
-        assert_eq!(rec.dropped_spans(), 3);
-        assert_eq!(rec.phase_stats()[0].count, 5);
+        let kept: Vec<u64> = rec
+            .inner
+            .lock()
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| match r {
+                Record::Span(s) => s.start_ns - 1,
+                Record::Event(e) => e.event.step(),
+            })
+            .collect();
+        assert_eq!(kept, (k as u64..(cap + k) as u64).collect::<Vec<_>>());
+        assert_eq!(rec.dropped(), k as u64);
+        assert_eq!(rec.span_records().len() + rec.events().len(), cap);
+        assert_eq!(rec.phase_stats()[0].count, (cap + k).div_ceil(2) as u64);
+        let summary = crate::validate_chrome_trace(&rec.chrome_trace_json()).unwrap();
+        assert_eq!(summary.span_records + summary.event_records, cap);
+        // Shrinking keeps the newest; zero capacity keeps nothing.
+        rec.set_capacity(2);
+        assert_eq!(
+            rec.events().last().unwrap().event.step(),
+            (cap + k - 2) as u64
+        );
+        assert_eq!(rec.dropped(), (k + cap - 2) as u64);
+        rec.set_capacity(0);
+        rec.emit(TelemetryEvent::EscapedCells { step: 0, count: 1 });
+        assert!(rec.events().is_empty() && rec.span_records().is_empty());
+        assert_eq!(rec.dropped(), (k + cap + 1) as u64);
     }
 
     #[test]
@@ -783,21 +799,6 @@ mod tests {
         let recs = rec.span_records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].dur_ns, 55);
-    }
-
-    #[test]
-    fn histogram_registers_then_records() {
-        let rec = Recorder::new();
-        rec.enable();
-        rec.histogram_record("h", &[1.0, 2.0], 1.5);
-        rec.histogram_record("h", &[9.0], 5.0); // bounds ignored after first touch
-        match rec.metric("h").unwrap() {
-            MetricValue::Histogram(h) => {
-                assert_eq!(h.bounds, vec![1.0, 2.0]);
-                assert_eq!(h.counts, vec![0, 1, 1]);
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

@@ -162,75 +162,6 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<MetricsSummary, String> {
     Ok(MetricsSummary { rows })
 }
 
-/// Summary of a validated flight-recorder dump.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightSummary {
-    /// Retained entries.
-    pub entries: usize,
-    /// Serve session recorded in the header (0 = unscoped).
-    pub session: u64,
-    /// Runtime annotations recorded in the header, as `(key, value)`
-    /// pairs in header order (kernel / threads when present).
-    pub runtime: Vec<(String, String)>,
-}
-
-/// Validate a flight-recorder dump: the schema tag matches, the header
-/// carries `capacity`/`total`/`dropped` plus the attribution fields
-/// (`session` id and the `runtime` object), and every entry is a typed
-/// span/event/sample object.
-pub fn validate_flightrec(text: &str) -> Result<FlightSummary, String> {
-    let doc = parse(text).map_err(|e| format!("flightrec does not parse: {e}"))?;
-    let schema = require_str(&doc, "schema", "header")?;
-    if schema != crate::flight::FLIGHTREC_SCHEMA {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    for key in ["capacity", "total", "dropped"] {
-        require_num(&doc, key, "header")?;
-    }
-    let session = require_num(&doc, "session", "header")? as u64;
-    let runtime_obj = doc
-        .get("runtime")
-        .ok_or("header: missing \"runtime\" object")?;
-    let mut runtime = Vec::new();
-    for key in ["kernel", "threads"] {
-        if let Some(v) = runtime_obj.get(key).and_then(Value::as_str) {
-            runtime.push((key.to_string(), v.to_string()));
-        }
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(Value::as_arr)
-        .ok_or("header: missing \"entries\" array")?;
-    for (i, entry) in entries.iter().enumerate() {
-        let what = format!("entry {i}");
-        match require_str(entry, "type", &what)? {
-            "span" => {
-                require_str(entry, "name", &what)?;
-                for key in ["tid", "start_ns", "dur_ns", "self_ns", "depth"] {
-                    require_num(entry, key, &what)?;
-                }
-            }
-            "event" => {
-                require_str(entry, "kind", &what)?;
-                require_num(entry, "t_ns", &what)?;
-                entry
-                    .get("args")
-                    .ok_or_else(|| format!("{what}: event missing args"))?;
-            }
-            "sample" => {
-                require_num(entry, "t_ns", &what)?;
-                require_num(entry, "step", &what)?;
-            }
-            other => return Err(format!("{what}: unknown entry type {other:?}")),
-        }
-    }
-    Ok(FlightSummary {
-        entries: entries.len(),
-        session,
-        runtime,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,39 +203,6 @@ mod tests {
         // Backwards step.
         let two = "{\"t_ns\":1,\"step\":5}\n{\"t_ns\":2,\"step\":4}";
         assert!(validate_metrics_jsonl(two).is_err());
-    }
-
-    #[test]
-    fn flightrec_validator_round_trips_header_fields() {
-        let rec = Recorder::with_clock(Clock::manual());
-        rec.enable();
-        rec.set_attribute("runtime.kernel", "fused");
-        rec.set_attribute("runtime.threads", "4");
-        let _scope = crate::span::session_scope(11);
-        {
-            let _s = rec.span("apr.step");
-            rec.clock().advance(10);
-        }
-        rec.sample_metrics(1);
-        let summary = validate_flightrec(&rec.flightrec_json()).unwrap();
-        assert_eq!(summary.entries, 2);
-        assert_eq!(summary.session, 11, "dumping thread's session id");
-        assert_eq!(
-            summary.runtime,
-            vec![
-                ("kernel".to_string(), "fused".to_string()),
-                ("threads".to_string(), "4".to_string()),
-            ]
-        );
-    }
-
-    #[test]
-    fn flightrec_validator_rejects_garbage() {
-        assert!(validate_flightrec("not json").is_err());
-        assert!(validate_flightrec("{\"schema\":\"wrong\"}").is_err());
-        // Old-format header without session/runtime attribution fields.
-        let old = "{\"schema\":\"apr.flightrec.v1\",\"capacity\":4,\"total\":0,\"dropped\":0,\"entries\":[]}";
-        assert!(validate_flightrec(old).unwrap_err().contains("session"));
     }
 
     #[test]
