@@ -161,11 +161,12 @@ impl Cell {
             .compute_forces(&self.vertices, &mut self.forces)
     }
 
-    /// Move every vertex with the velocity `velocity_at` reports at its
-    /// position: `x += v·dt`, storing `v`.
-    pub fn advect(&mut self, dt: f64, velocity_at: impl Fn(Vec3) -> Vec3) {
-        for (x, v) in self.vertices.iter_mut().zip(&mut self.velocities) {
-            let vel = velocity_at(*x);
+    /// Move every vertex with the velocity `velocity_at(index, position)`
+    /// reports for it: `x += v·dt`, storing `v`.
+    pub fn advect(&mut self, dt: f64, velocity_at: impl Fn(usize, Vec3) -> Vec3) {
+        let moving = self.vertices.iter_mut().zip(&mut self.velocities);
+        for (k, (x, v)) in moving.enumerate() {
+            let vel = velocity_at(k, *x);
             *x += vel * dt;
             *v = vel;
         }
@@ -213,7 +214,7 @@ mod tests {
     fn advect_applies_velocity() {
         let (mem, mesh) = sphere_membrane();
         let mut cell = Cell::with_shape(0, CellKind::Ctc, mem, mesh.vertices);
-        cell.advect(2.0, |_| Vec3::new(0.5, 0.0, 0.0));
+        cell.advect(2.0, |_, _| Vec3::new(0.5, 0.0, 0.0));
         assert!((cell.centroid() - Vec3::new(1.0, 0.0, 0.0)).norm() < 1e-12);
         assert_eq!(cell.velocities[0], Vec3::new(0.5, 0.0, 0.0));
     }

@@ -173,10 +173,15 @@ impl CellPool {
     /// Each cell is written by exactly one lane, so the result is
     /// independent of the thread count.
     pub fn par_for_each_mut(&mut self, f: impl Fn(&mut Cell) + Sync) {
-        apr_exec::current().par_for_chunks_mut(&mut self.slots, SLOT_CHUNK, |_, part| {
-            for slot in part {
+        self.par_for_each_slot_mut(|_, cell| f(cell));
+    }
+
+    /// [`CellPool::par_for_each_mut`] that also hands `f` each cell's slot.
+    pub fn par_for_each_slot_mut(&mut self, f: impl Fn(SlotIndex, &mut Cell) + Sync) {
+        apr_exec::current().par_for_chunks_mut(&mut self.slots, SLOT_CHUNK, |chunk, part| {
+            for (k, slot) in part.iter_mut().enumerate() {
                 if let Some(cell) = slot.as_mut() {
-                    f(cell);
+                    f(chunk * SLOT_CHUNK + k, cell);
                 }
             }
         });

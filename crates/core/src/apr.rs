@@ -68,7 +68,10 @@ pub struct AprEngine {
     pub anatomy: WindowAnatomy,
     /// Live cells (fine coordinates).
     pub pool: CellPool,
-    /// Spatial hash over cell vertices (fine coordinates).
+    /// Spatial hash over cell vertices (fine coordinates). After
+    /// [`AprEngine::step`] it holds the positions from the start of the
+    /// step's last FSI sub-step (window moves and maintenance rebuild or
+    /// edit it for the cells they move, add and remove).
     pub grid: UniformSubgrid,
     /// Intercellular repulsion.
     pub contact: ContactParams,
@@ -438,35 +441,27 @@ impl AprEngine {
         let n = self.map.n;
         for k in 0..n {
             let theta = (k + 1) as f64 / n as f64;
-            {
-                let _s = apr_telemetry::span("fsi.membrane_forces");
-                fsi::compute_membrane_forces(&mut self.pool);
-            }
-            {
-                let _s = apr_telemetry::span("fsi.contact_forces");
-                fsi::compute_contact_forces(&mut self.pool, &mut self.grid, self.contact);
-            }
-            {
-                let _s = apr_telemetry::span("fsi.spread");
-                self.fine.clear_forces();
-                fsi::spread_cell_forces(&mut self.fine, &self.pool, self.kernel, |v| v, 1.0);
-            }
-            {
-                let _s = apr_telemetry::span("apr.fine.collide");
-                self.fine.advance(SubStep::Collide);
-            }
-            {
-                let _s = apr_telemetry::span("coupling.impose_shell");
-                self.map.impose_shell(&mut self.fine, &old, &new, theta);
-            }
-            {
-                let _s = apr_telemetry::span("apr.fine.stream");
-                self.fine.advance(SubStep::Stream);
-            }
-            {
-                let _s = apr_telemetry::span("fsi.interpolate");
-                fsi::advect_cells(&self.fine, &mut self.pool, self.kernel, |v| v, 1.0);
-            }
+            let map = &self.map;
+            fsi::substep(
+                &mut self.fine,
+                &mut self.pool,
+                &mut self.grid,
+                self.contact,
+                self.kernel,
+                k + 1 == n,
+                |fine| {
+                    {
+                        let _s = apr_telemetry::span("apr.fine.collide");
+                        fine.advance(SubStep::Collide);
+                    }
+                    {
+                        let _s = apr_telemetry::span("coupling.impose_shell");
+                        map.impose_shell(fine, &old, &new, theta);
+                    }
+                    let _s = apr_telemetry::span("apr.fine.stream");
+                    fine.advance(SubStep::Stream);
+                },
+            );
         }
         {
             let _s = apr_telemetry::span("coupling.restrict");

@@ -91,27 +91,18 @@ impl EfsiEngine {
     /// Advance one fully coupled FSI step.
     pub fn step(&mut self) {
         let _step_span = apr_telemetry::span("efsi.step");
-        {
-            let _s = apr_telemetry::span("fsi.membrane_forces");
-            fsi::compute_membrane_forces(&mut self.pool);
-        }
-        {
-            let _s = apr_telemetry::span("fsi.contact_forces");
-            fsi::compute_contact_forces(&mut self.pool, &mut self.grid, self.contact);
-        }
-        {
-            let _s = apr_telemetry::span("fsi.spread");
-            self.lattice.clear_forces();
-            fsi::spread_cell_forces(&mut self.lattice, &self.pool, self.kernel, |v| v, 1.0);
-        }
-        {
-            let _s = apr_telemetry::span("efsi.lattice");
-            self.lattice.step();
-        }
-        {
-            let _s = apr_telemetry::span("fsi.interpolate");
-            fsi::advect_cells(&self.lattice, &mut self.pool, self.kernel, |v| v, 1.0);
-        }
+        fsi::substep(
+            &mut self.lattice,
+            &mut self.pool,
+            &mut self.grid,
+            self.contact,
+            self.kernel,
+            true,
+            |lattice| {
+                let _s = apr_telemetry::span("efsi.lattice");
+                lattice.step();
+            },
+        );
         self.steps += 1;
         let step_sites = self.lattice.fluid_node_count() as u64;
         self.site_updates += step_sites;

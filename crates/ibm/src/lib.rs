@@ -13,4 +13,5 @@ pub mod transfer;
 pub use delta::DeltaKernel;
 pub use transfer::{
     advect_points, interpolate_velocities, interpolate_velocity, spread_forces, spread_forces_into,
+    StencilSet,
 };

@@ -20,9 +20,16 @@ const POINT_CHUNK: usize = 32;
 /// listed in more than one slab.
 const SLAB_PLANES: usize = 8;
 
-/// Widest per-axis stencil: [`DeltaKernel::stencil_width`] + 1 points
-/// cover the support `[p − s, p + s]` for any offset of `p`.
+/// Lattice coordinates visited per axis: the widest
+/// [`DeltaKernel::stencil_width`] + 1 points cover the support `[p − s, p + s]`
+/// for any offset of `p`. Points past a narrower kernel's width sit outside
+/// its support, where `φ` is exactly 0.
 const MAX_STENCIL: usize = 5;
+
+/// Non-zero weights kept per axis: at most 4 of the [`MAX_STENCIL`] points
+/// lie inside any kernel's support. `Cosine4`'s fifth always sits at
+/// |r| ≥ 2, where `φ` is exactly 0.
+const MAX_WEIGHTS: usize = 4;
 
 #[inline]
 fn wrap(v: i64, n: usize, periodic: bool) -> Option<usize> {
@@ -41,8 +48,8 @@ fn wrap(v: i64, n: usize, periodic: bool) -> Option<usize> {
 #[derive(Clone, Copy, Default)]
 struct AxisWeights {
     len: u32,
-    coord: [u32; MAX_STENCIL],
-    weight: [f64; MAX_STENCIL],
+    coord: [u32; MAX_WEIGHTS],
+    weight: [f64; MAX_WEIGHTS],
 }
 
 impl AxisWeights {
@@ -52,13 +59,15 @@ impl AxisWeights {
         let mut axis = Self::default();
         // Leftmost lattice coordinate inside the support [p − s, p + s].
         let base = (p - kernel.support()).ceil() as i64;
-        for d in 0..=kernel.stencil_width() {
+        for d in 0..MAX_STENCIL {
             let g = base + d as i64;
             let Some(c) = wrap(g, n, periodic) else {
                 continue;
             };
             let w = kernel.phi(p - g as f64);
-            if w != 0.0 {
+            // A finite `p` never fills the last slot before its loop ends;
+            // a NaN one (every weight NaN) keeps its first four.
+            if w != 0.0 && (axis.len as usize) < MAX_WEIGHTS {
                 axis.coord[axis.len as usize] = c as u32;
                 axis.weight[axis.len as usize] = w;
                 axis.len += 1;
@@ -124,6 +133,136 @@ impl PointStencil {
             }
         }
     }
+
+    /// `Σ_x v(x)·δ(x − X)` over this stencil (Eq. 4).
+    #[inline]
+    fn interpolate(&self, lattice: &Lattice) -> Vec3 {
+        let mut v = Vec3::ZERO;
+        self.for_each_node(lattice, &(0..lattice.nz), |node, w| {
+            let u = lattice.velocity_at(node);
+            v += Vec3::new(u[0], u[1], u[2]) * w;
+        });
+        v
+    }
+}
+
+/// The stencils of a list of Lagrangian points on one lattice, built once
+/// and shared by every transfer at those positions. One FSI sub-step
+/// spreads forces from, and interpolates velocities to, the same unmoved
+/// vertices, so one set serves both and halves the `φ` evaluations.
+///
+/// A set holds ≈ 170 bytes a point; it describes the positions it was
+/// built from, so drop it once the points move.
+pub struct StencilSet {
+    points: Vec<PointStencil>,
+    /// `(nx, ny, nz, periodic)` of the lattice the set was built on.
+    shape: (usize, usize, usize, [bool; 3]),
+}
+
+impl StencilSet {
+    /// The stencils of `positions` (lattice coordinates) on `lattice`,
+    /// evaluated in parallel over fixed chunks of points.
+    pub fn new(lattice: &Lattice, positions: &[Vec3], kernel: DeltaKernel) -> Self {
+        let mut points = vec![PointStencil::default(); positions.len()];
+        apr_exec::current().par_for_chunks_mut(&mut points, POINT_CHUNK, |chunk, part| {
+            let first = chunk * POINT_CHUNK;
+            for (k, st) in part.iter_mut().enumerate() {
+                *st = PointStencil::new(lattice, positions[first + k], kernel);
+            }
+        });
+        Self {
+            points,
+            shape: Self::shape_of(lattice),
+        }
+    }
+
+    fn shape_of(lattice: &Lattice) -> (usize, usize, usize, [bool; 3]) {
+        (lattice.nx, lattice.ny, lattice.nz, lattice.periodic)
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// True when the set holds no point.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// Interpolate the velocity at point `i` (Eq. 4). `lattice` must have
+    /// the shape of the one the set was built on; its velocities may have
+    /// changed since.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn interpolate(&self, lattice: &Lattice, i: usize) -> Vec3 {
+        debug_assert_eq!(self.shape, Self::shape_of(lattice), "lattice shape");
+        self.points[i].interpolate(lattice)
+    }
+
+    /// Spread `forces[i]` from point `i` onto a caller-owned force field
+    /// (`node*3 + axis`, same layout as `Lattice::force`; Eq. 6).
+    ///
+    /// Owner-computes scatter: `out` is cut into fixed slabs of
+    /// [`SLAB_PLANES`] z-planes (z is the slowest index, so slabs are
+    /// disjoint ranges of `out`), points are binned by the slabs their
+    /// stencils touch, and each slab task walks its points in input order
+    /// adding straight into its own planes. Every node therefore sums its
+    /// contributions in input order at any lane count — bit for bit what a
+    /// serial loop over the points produces. Forces landing on non-fluid
+    /// nodes are dropped; returns the mean spread weight that landed on
+    /// fluid (see [`spread_forces`]).
+    ///
+    /// # Panics
+    /// Panics if `forces` does not match the set, `lattice` differs in
+    /// shape from the one the set was built on, or `out` does not cover
+    /// every node.
+    pub fn spread_into(&self, lattice: &Lattice, forces: &[Vec3], out: &mut [f64]) -> f64 {
+        assert_eq!(self.points.len(), forces.len(), "positions/forces mismatch");
+        assert_eq!(self.shape, Self::shape_of(lattice), "lattice shape");
+        assert_eq!(out.len(), lattice.node_count() * 3, "force field size");
+        if self.points.is_empty() {
+            return 0.0;
+        }
+        let bins = bin_by_slab(lattice.nz.div_ceil(SLAB_PLANES), &self.points);
+        let plane = lattice.nx * lattice.ny;
+        let field = UnsafeSlice::new(out);
+        let covered_weight = apr_exec::current()
+            .par_map_reduce(
+                lattice.nz,
+                SLAB_PLANES,
+                |slab, planes| {
+                    // SAFETY: slab z-ranges are pairwise disjoint, and z is
+                    // the slowest index of the field.
+                    let part = unsafe {
+                        field.slice_mut(planes.start * plane * 3, planes.len() * plane * 3)
+                    };
+                    let first_node = planes.start * plane;
+                    let mut covered = 0.0;
+                    for &i in &bins[slab] {
+                        let g = forces[i as usize];
+                        let mut point_covered = 0.0;
+                        self.points[i as usize].for_each_node(lattice, &planes, |node, w| {
+                            if lattice.flag(node) == NodeClass::Fluid {
+                                let o = (node - first_node) * 3;
+                                let f = &mut part[o..o + 3];
+                                f[0] += g.x * w;
+                                f[1] += g.y * w;
+                                f[2] += g.z * w;
+                                point_covered += w;
+                            }
+                        });
+                        covered += point_covered;
+                    }
+                    covered
+                },
+                |a, b| a + b,
+            )
+            .unwrap_or(0.0);
+        covered_weight / self.points.len() as f64
+    }
 }
 
 /// Interpolate the Eulerian velocity field onto Lagrangian points (Eq. 4):
@@ -150,12 +289,7 @@ pub fn interpolate_velocities(
 
 /// Interpolate the velocity at a single Lagrangian point.
 pub fn interpolate_velocity(lattice: &Lattice, p: Vec3, kernel: DeltaKernel) -> Vec3 {
-    let mut v = Vec3::ZERO;
-    PointStencil::new(lattice, p, kernel).for_each_node(lattice, &(0..lattice.nz), |node, w| {
-        let u = lattice.velocity_at(node);
-        v += Vec3::new(u[0], u[1], u[2]) * w;
-    });
-    v
+    PointStencil::new(lattice, p, kernel).interpolate(lattice)
 }
 
 /// Spread Lagrangian forces onto the Eulerian force field (Eq. 6):
@@ -182,16 +316,8 @@ pub fn spread_forces(
 }
 
 /// [`spread_forces`] variant that accumulates into a caller-owned force
-/// field (`node*3 + axis`, same layout as `Lattice::force`).
-///
-/// Owner-computes scatter: `out` is cut into fixed slabs of
-/// [`SLAB_PLANES`] z-planes (z is the slowest index, so slabs are disjoint
-/// ranges of `out`), points are binned by the slabs their stencils touch,
-/// and each slab task walks its points in input order adding straight into
-/// its own planes. Every node therefore sums its contributions in input
-/// order at any lane count — bit for bit what a serial loop over the
-/// points produces. Transient memory is O(points). Returns the mean spread
-/// weight that landed on fluid nodes (see [`spread_forces`]).
+/// field: [`StencilSet::spread_into`] from a set built for `positions`.
+/// Transient memory is O(points).
 ///
 /// # Panics
 /// Panics if `positions`/`forces` lengths differ or `out` does not cover
@@ -203,55 +329,7 @@ pub fn spread_forces_into(
     kernel: DeltaKernel,
     out: &mut [f64],
 ) -> f64 {
-    assert_eq!(positions.len(), forces.len(), "positions/forces mismatch");
-    assert_eq!(out.len(), lattice.node_count() * 3, "force field size");
-    if positions.is_empty() {
-        return 0.0;
-    }
-    let exec = apr_exec::current();
-    // Weights once per point, shared by the slabs it touches.
-    let mut stencils = vec![PointStencil::default(); positions.len()];
-    exec.par_for_chunks_mut(&mut stencils, POINT_CHUNK, |chunk, part| {
-        let first = chunk * POINT_CHUNK;
-        for (k, st) in part.iter_mut().enumerate() {
-            *st = PointStencil::new(lattice, positions[first + k], kernel);
-        }
-    });
-    let bins = bin_by_slab(lattice.nz.div_ceil(SLAB_PLANES), &stencils);
-    let plane = lattice.nx * lattice.ny;
-    let field = UnsafeSlice::new(out);
-    let covered_weight = exec
-        .par_map_reduce(
-            lattice.nz,
-            SLAB_PLANES,
-            |slab, planes| {
-                // SAFETY: slab z-ranges are pairwise disjoint, and z is the
-                // slowest index of the field.
-                let part =
-                    unsafe { field.slice_mut(planes.start * plane * 3, planes.len() * plane * 3) };
-                let first_node = planes.start * plane;
-                let mut covered = 0.0;
-                for &i in &bins[slab] {
-                    let g = forces[i as usize];
-                    let mut point_covered = 0.0;
-                    stencils[i as usize].for_each_node(lattice, &planes, |node, w| {
-                        if lattice.flag(node) == NodeClass::Fluid {
-                            let o = (node - first_node) * 3;
-                            let f = &mut part[o..o + 3];
-                            f[0] += g.x * w;
-                            f[1] += g.y * w;
-                            f[2] += g.z * w;
-                            point_covered += w;
-                        }
-                    });
-                    covered += point_covered;
-                }
-                covered
-            },
-            |a, b| a + b,
-        )
-        .unwrap_or(0.0);
-    covered_weight / positions.len() as f64
+    StencilSet::new(lattice, positions, kernel).spread_into(lattice, forces, out)
 }
 
 /// Point indices by owner slab: `bins[s]` lists, in input order, the points
@@ -265,7 +343,7 @@ fn bin_by_slab(slabs: usize, stencils: &[PointStencil]) -> Vec<Vec<u32>> {
     for (i, st) in stencils.iter().enumerate() {
         // A periodic stencil can leave a slab and wrap back into it (last
         // slab shorter than the stencil), so compare with every slab seen.
-        let mut seen = [usize::MAX; MAX_STENCIL];
+        let mut seen = [usize::MAX; MAX_WEIGHTS];
         let mut count = 0;
         for (z, _) in st.z.iter() {
             let slab = z / SLAB_PLANES;

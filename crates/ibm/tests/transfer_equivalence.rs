@@ -5,12 +5,18 @@
 //! loop (kept below as the oracle).
 //! (b) The slab-owner spread equals, bit for bit and at every lane count,
 //! a serial loop that adds each point's stencil straight into the field.
-//! (c) A steady-state `spread_cell_forces` + `advect_cells` pair allocates
-//! O(vertices) bytes, whatever the size of the lattice.
+//! (c) A steady-state `spread_cell_forces` + `advect_cells` pair, and the
+//! engines' `fsi::substep`, allocate O(vertices) bytes, whatever the size
+//! of the lattice.
+//! (d) One `StencilSet` serves both transfers: its interpolation equals the
+//! oracle bit for bit, also at integer and half-integer coordinates where
+//! an end weight is exactly 0, and its spread equals the serial loop at
+//! every lane count.
 
-use apr_cells::{CellKind, CellPool};
+use apr_cells::{CellKind, CellPool, ContactParams, UniformSubgrid};
 use apr_core::fsi;
-use apr_ibm::{interpolate_velocity, spread_forces, DeltaKernel};
+use apr_exec::ExecPool;
+use apr_ibm::{interpolate_velocity, spread_forces, DeltaKernel, StencilSet};
 use apr_lattice::{Lattice, NodeClass};
 use apr_membrane::{Membrane, MembraneMaterial, ReferenceState};
 use apr_mesh::{icosphere, Vec3};
@@ -332,6 +338,52 @@ fn fsi_pair_bytes(n: usize) -> (usize, usize) {
     (bytes, vertices)
 }
 
+/// Bytes allocated by one steady-state `fsi::substep` (contact grid
+/// rebuilt, stencils shared by the spread and the advection) on an `n`³
+/// periodic lattice, with the lattice update left out, and the contact
+/// pairs it found.
+fn fsi_substep_bytes(n: usize) -> (usize, usize) {
+    let mesh = icosphere(2, 2.0);
+    let re = Arc::new(ReferenceState::build(&mesh));
+    let membrane = Arc::new(Membrane::new(re, MembraneMaterial::rbc(1e-3, 1e-5)));
+    // Six cells of radius 2.1, 5 apart: each pair of neighbours is within
+    // the contact cutoff at a few vertices.
+    let mut pool = CellPool::with_capacity(8);
+    for k in 0..6 {
+        let center = Vec3::new(4.0 + 5.0 * (k % 3) as f64, 4.0 + 5.0 * (k / 3) as f64, 8.0);
+        let verts = mesh.vertices.iter().map(|&v| v * 1.05 + center).collect();
+        pool.insert_shape(CellKind::Rbc, Arc::clone(&membrane), verts);
+    }
+    let mut lat = Lattice::new(n, n, n, 0.9);
+    lat.periodic = [true, true, true];
+    let mut grid = UniformSubgrid::new(2.0);
+    let contact = ContactParams {
+        cutoff: 1.2,
+        strength: 5e-4,
+    };
+    let bytes = apr_exec::with_pool(Arc::new(ExecPool::sequential()), || {
+        let mut substep = || {
+            BYTES.set(0);
+            COUNTING.set(true);
+            fsi::substep(
+                &mut lat,
+                &mut pool,
+                &mut grid,
+                contact,
+                DeltaKernel::Cosine4,
+                true,
+                |_| {},
+            );
+            COUNTING.set(false);
+            BYTES.get()
+        };
+        substep(); // first call: the grid's bins
+        substep()
+    });
+    let pairs = apr_cells::apply_contact_forces(&mut pool, grid.bin_size, contact);
+    (bytes, pairs)
+}
+
 #[test]
 fn fsi_pair_allocates_per_vertex_not_per_node() {
     let (small, vertices) = fsi_pair_bytes(24);
@@ -348,4 +400,130 @@ fn fsi_pair_allocates_per_vertex_not_per_node() {
         large <= small + 1024,
         "allocation grew with the lattice: {small} B on 24^3, {large} B on 48^3"
     );
+    // The engines' sub-step adds the contact pass to the same transients;
+    // its one stencil set lives from the spread to the advection.
+    let ((small, pairs), (large, _)) = (fsi_substep_bytes(24), fsi_substep_bytes(48));
+    assert!(pairs > 0, "the sub-step's cells do not touch");
+    assert!(small > 0, "the counter saw nothing in the sub-step");
+    assert!(
+        small <= 400 * vertices,
+        "sub-step: {small} bytes for {vertices} vertices and {pairs} contact pairs"
+    );
+    assert!(
+        large <= small + 1024,
+        "sub-step allocation grew with the lattice: {small} B on 24^3, {large} B on 48^3"
+    );
+}
+
+// --- (d) one stencil set for both transfers ----------------------------------
+
+/// Points whose coordinates are all integers, all half-integers, or a mix,
+/// inside the box, on its faces and up to 1.5 nodes outside: there an end
+/// weight of each kernel is exactly 0 (|r| = 2 for `Cosine4`, 1.5 for
+/// `Peskin3`, 1 for `Linear2`).
+fn lattice_points(lat: &Lattice) -> Vec<Vec3> {
+    let axis = |n: usize| {
+        let n = n as f64;
+        [
+            -1.5,
+            -1.0,
+            -0.5,
+            0.0,
+            0.5,
+            1.0,
+            (n / 3.0).floor() + 0.5,
+            n - 1.5,
+            n - 1.0,
+            n - 0.5,
+            n,
+        ]
+    };
+    let mut pts = Vec::new();
+    for z in axis(lat.nz) {
+        for y in axis(lat.ny) {
+            for x in axis(lat.nx) {
+                pts.push(Vec3::new(x, y, z));
+            }
+        }
+    }
+    pts
+}
+
+#[test]
+fn stencil_set_interpolation_is_bit_identical_to_the_triple_loop() {
+    let mut rng = StdRng::seed_from_u64(0x5e7_5eed);
+    for lat in cases(&mut rng) {
+        let mut pts = points(&lat, 600, &mut rng);
+        pts.extend(lattice_points(&lat));
+        for kernel in KERNELS {
+            let set = StencilSet::new(&lat, &pts, kernel);
+            assert_eq!(set.len(), pts.len());
+            for (i, &p) in pts.iter().enumerate() {
+                let new = set.interpolate(&lat, i);
+                let old = oracle_interpolate(&lat, p, kernel);
+                let what = format!("{kernel:?} at {p:?} on {}x{}x{}", lat.nx, lat.ny, lat.nz);
+                assert_bits(new.x, old.x, &what);
+                assert_bits(new.y, old.y, &what);
+                assert_bits(new.z, old.z, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn one_stencil_set_spreads_then_interpolates_at_every_lane_count() {
+    let mut rng = StdRng::seed_from_u64(0x0e5_5eed);
+    for mut lat in cases(&mut rng) {
+        let mut pts = points(&lat, 400, &mut rng);
+        pts.extend(lattice_points(&lat));
+        let forces: Vec<Vec3> = pts
+            .iter()
+            .map(|_| {
+                let scale = 10f64.powf(rng.gen_range(-6.0..0.0));
+                Vec3::new(
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                ) * scale
+            })
+            .collect();
+        for kernel in KERNELS {
+            let (want, want_covered) = oracle_spread(&lat, &pts, &forces, kernel);
+            for threads in [1, 2, 4, 8] {
+                let what = format!(
+                    "{kernel:?}, {threads} lanes, {}x{}x{}",
+                    lat.nx, lat.ny, lat.nz
+                );
+                let set = apr_exec::with_pool(Arc::new(ExecPool::new(threads)), || {
+                    let set = StencilSet::new(&lat, &pts, kernel);
+                    let mut field = vec![0.0; lat.node_count() * 3];
+                    let covered = set.spread_into(&lat, &forces, &mut field);
+                    for (i, (a, b)) in field.iter().zip(&want).enumerate() {
+                        assert_bits(*a, *b, &format!("{what}, node {} axis {}", i / 3, i % 3));
+                    }
+                    // Per-slab partial sums associate differently from
+                    // the oracle's sum over ~1 700 points; the value is the
+                    // same to a few ulps.
+                    assert!(
+                        (covered - want_covered).abs() <= 64.0 * f64::EPSILON * want_covered,
+                        "{what}: covered {covered:e} vs {want_covered:e}"
+                    );
+                    set
+                });
+                // The fluid moves between the two transfers of a sub-step;
+                // the points do not, so the set still describes them.
+                for v in &mut lat.vel {
+                    *v = rng.gen_range(-0.1..0.1);
+                }
+                for (i, &p) in pts.iter().enumerate() {
+                    let new = set.interpolate(&lat, i);
+                    let old = oracle_interpolate(&lat, p, kernel);
+                    let what = format!("{what}, point {i} at {p:?}");
+                    assert_bits(new.x, old.x, &what);
+                    assert_bits(new.y, old.y, &what);
+                    assert_bits(new.z, old.z, &what);
+                }
+            }
+        }
+    }
 }

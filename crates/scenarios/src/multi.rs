@@ -54,7 +54,8 @@ pub struct WindowUnit {
     pub anatomy: WindowAnatomy,
     /// Live cells (fine coordinates).
     pub pool: CellPool,
-    /// Spatial hash over cell vertices.
+    /// Spatial hash over cell vertices. After a step it holds the
+    /// positions from the start of the last FSI sub-step.
     pub grid: UniformSubgrid,
     /// Intercellular repulsion.
     pub contact: ContactParams,
@@ -262,14 +263,20 @@ impl WindowUnit {
         let n = self.map.n;
         for k in 0..n {
             let theta = (k + 1) as f64 / n as f64;
-            fsi::compute_membrane_forces(&mut self.pool);
-            fsi::compute_contact_forces(&mut self.pool, &mut self.grid, self.contact);
-            self.fine.clear_forces();
-            fsi::spread_cell_forces(&mut self.fine, &self.pool, self.kernel, |v| v, 1.0);
-            self.fine.advance(SubStep::Collide);
-            self.map.impose_shell(&mut self.fine, old, new, theta);
-            self.fine.advance(SubStep::Stream);
-            fsi::advect_cells(&self.fine, &mut self.pool, self.kernel, |v| v, 1.0);
+            let map = &self.map;
+            fsi::substep(
+                &mut self.fine,
+                &mut self.pool,
+                &mut self.grid,
+                self.contact,
+                self.kernel,
+                k + 1 == n,
+                |fine| {
+                    fine.advance(SubStep::Collide);
+                    map.impose_shell(fine, old, new, theta);
+                    fine.advance(SubStep::Stream);
+                },
+            );
         }
         self.map.restrict(coarse, &self.fine);
     }
