@@ -9,7 +9,7 @@
 //!
 //! ## Op encoding
 //!
-//! One `u32` per `(node, direction)` slot, indexed `node * 19 + i`:
+//! One `u32` per `(node, direction)` link, for directions `1..19`:
 //! a 3-bit tag in the top bits and a 29-bit payload (partner node index or
 //! moving-coefficient index) below. For a fluid node `n` and direction `i`,
 //! pull-streaming wants slot `(n, i)` to end up holding the post-collision
@@ -21,8 +21,8 @@
 //! - [`TAG_SWAP`]: `m` is fluid — exchange slots `(n, i) ↔ (m, opp(i))`.
 //!   Emitted only for the nine [`FWD`] directions so each opposite pair is
 //!   exchanged exactly once.
-//! - [`TAG_DONE`]: nothing to do — the rest direction, or a backward
-//!   direction whose exchange is owned by the fluid partner's `SWAP`.
+//! - [`TAG_DONE`]: nothing to do — a backward direction whose exchange is
+//!   owned by the fluid partner's `SWAP`.
 //! - [`TAG_LOAD`]: `m` is a velocity/pressure boundary node — copy its
 //!   (naturally-stored, collision-exempt) population: `f[n,i] ← f[m,i]`.
 //! - [`TAG_BOUNCE`]: `m` is a stationary wall/exterior or outside the
@@ -39,10 +39,18 @@
 //! ops may execute in any order, on any lane — streaming becomes
 //! embarrassingly parallel *and* bit-deterministic.
 //!
+//! ## Rows for `Slow` nodes only
+//!
 //! Interior nodes whose 18 neighbours are all fluid — the overwhelming bulk
-//! of a dense box — are classified [`NodeKind::Fast`] and skip the table
-//! entirely at run time: their nine swaps use the constant flat offsets in
-//! [`AdjacencyTable::fwd_offset`].
+//! of a dense box — are classified [`NodeKind::Fast`]: their ops are nine
+//! swaps at the constant flat offsets in [`AdjacencyTable::fwd_offset`],
+//! so they have no row. Only [`NodeKind::Slow`] nodes (boundary or
+//! periodic-wrap fluid) keep a row of [`ROW`] op words, stored in node
+//! order; a sweep finds its first row through
+//! [`AdjacencyTable::first_row`] (a per-plane count of earlier `Slow`
+//! nodes) and then takes the next row at every `Slow` node it meets. The
+//! table costs `ROW · 4 = 72` bytes per `Slow` node plus one [`NodeKind`]
+//! byte per node.
 
 use crate::d3q19::{C, OPPOSITE, Q, W};
 use crate::view::NodeClass;
@@ -125,11 +133,19 @@ pub fn neighbor_index(
     Some((p[0] + d[0] * (p[1] + d[1] * p[2])) as usize)
 }
 
+/// Op words per `Slow` row: one per moving direction `1..19` (the rest
+/// direction never streams).
+pub const ROW: usize = Q - 1;
+
 /// The compiled streaming stencil of one lattice geometry.
+///
+/// Holds no per-(node, direction) data: a `Fast` node's ops follow from
+/// [`Self::fwd_offset`], and only `Slow` nodes keep a row ([`Self::row`]).
 #[derive(Debug, Clone)]
 pub struct AdjacencyTable {
-    /// One op word per `(node, direction)` slot, indexed `node * 19 + i`.
-    pub ops: Vec<u32>,
+    /// The op rows of the `Slow` nodes in node order, [`ROW`] words each:
+    /// word `i − 1` of a row is direction `i`'s op.
+    rows: Vec<u32>,
     /// Per-node execution class.
     pub kind: Vec<NodeKind>,
     /// Precomputed `(6 w_i, c_i · u_wall)` factor pairs for [`TAG_MOVING`]
@@ -144,7 +160,11 @@ pub struct AdjacencyTable {
     /// a sparse tube plane costs what its fluid nodes cost, not what its
     /// bounding box suggests.
     pub fluid_per_plane: Vec<u32>,
-    node_count: usize,
+    /// `Slow` nodes before each z-plane: the row index of the plane's first
+    /// `Slow` node.
+    slow_before_plane: Vec<u32>,
+    /// Nodes per z-plane (at least 1).
+    plane: usize,
 }
 
 impl AdjacencyTable {
@@ -170,10 +190,11 @@ impl AdjacencyTable {
         );
         debug_assert!(moving_walls.windows(2).all(|w| w[0].0 < w[1].0));
         let dims = [nx, ny, nz];
-        let mut ops = vec![TAG_DONE; n * Q];
+        let mut rows = Vec::new();
         let mut kind = vec![NodeKind::Skip; n];
         let mut moving_coeff = Vec::new();
         let mut fluid_per_plane = vec![0u32; nz];
+        let mut slow_before_plane = Vec::with_capacity(nz);
         let mut fwd_offset = [0usize; 9];
         for (k, &i) in FWD.iter().enumerate() {
             let off = C[i][0] as i64 + nx as i64 * (C[i][1] as i64 + ny as i64 * C[i][2] as i64);
@@ -192,7 +213,9 @@ impl AdjacencyTable {
                 .ok()
                 .map(|j| moving_walls[j].1)
         };
+        let mut row = [TAG_DONE; ROW];
         for (z, plane_fluid) in fluid_per_plane.iter_mut().enumerate() {
+            slow_before_plane.push((rows.len() / ROW) as u32);
             for y in 0..ny {
                 for x in 0..nx {
                     let node = x + nx * (y + ny * z);
@@ -202,14 +225,14 @@ impl AdjacencyTable {
                     *plane_fluid += 1;
                     let mut fast =
                         x >= 1 && x + 1 < nx && y >= 1 && y + 1 < ny && z >= 1 && z + 1 < nz;
-                    for i in 1..Q {
+                    for (i, op) in (1..Q).zip(row.iter_mut()) {
                         // Pull source of slot (node, i): the neighbour the
                         // population streamed in from, one step along −c_i.
                         let src = neighbor_index(dims, periodic, x, y, z, OPPOSITE[i]);
                         if src.map(|m| flags[m] != NodeClass::Fluid).unwrap_or(true) {
                             fast = false;
                         }
-                        let op = match src {
+                        *op = match src {
                             None => TAG_BOUNCE << TAG_SHIFT,
                             Some(m) => match flags[m] {
                                 NodeClass::Fluid => {
@@ -237,35 +260,70 @@ impl AdjacencyTable {
                                 NodeClass::Exterior => TAG_BOUNCE << TAG_SHIFT,
                             },
                         };
-                        ops[node * Q + i] = op;
                     }
-                    kind[node] = if fast { NodeKind::Fast } else { NodeKind::Slow };
+                    kind[node] = if fast {
+                        NodeKind::Fast
+                    } else {
+                        rows.extend_from_slice(&row);
+                        NodeKind::Slow
+                    };
                 }
             }
         }
+        rows.shrink_to_fit();
+        moving_coeff.shrink_to_fit();
         Self {
-            ops,
+            rows,
             kind,
             moving_coeff,
             fwd_offset,
             fluid_per_plane,
-            node_count: n,
+            slow_before_plane,
+            plane: (nx * ny).max(1),
         }
     }
 
     /// Number of nodes the table was built for.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.kind.len()
     }
 
-    /// Heap footprint of the table in bytes — the fused backend's answer to
-    /// the reference backend's `n·19·8`-byte scratch array.
+    /// Number of `Slow` nodes, i.e. of op rows.
+    #[inline]
+    pub fn slow_count(&self) -> usize {
+        self.rows.len() / ROW
+    }
+
+    /// Row index of the first `Slow` node at or after `node`: where a sweep
+    /// starting at `node` finds its first row. O(1) at a plane boundary
+    /// (every chunk of the kernels' plans starts at one), otherwise a scan
+    /// of the plane's earlier nodes.
+    pub fn first_row(&self, node: usize) -> usize {
+        let Some(&before) = self.slow_before_plane.get(node / self.plane) else {
+            return self.slow_count();
+        };
+        let start = node - node % self.plane;
+        before as usize
+            + self.kind[start..node]
+                .iter()
+                .filter(|&&k| k == NodeKind::Slow)
+                .count()
+    }
+
+    /// The op row with index `r`: word `i − 1` is direction `i`'s op.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[u32] {
+        &self.rows[r * ROW..(r + 1) * ROW]
+    }
+
+    /// Heap footprint of the table in bytes.
     pub fn bytes(&self) -> usize {
-        self.ops.len() * std::mem::size_of::<u32>()
+        self.rows.capacity() * std::mem::size_of::<u32>()
             + self.kind.len()
-            + self.moving_coeff.len() * std::mem::size_of::<[f64; 2]>()
-            + self.fluid_per_plane.len() * std::mem::size_of::<u32>()
+            + self.moving_coeff.capacity() * std::mem::size_of::<[f64; 2]>()
+            + (self.fluid_per_plane.len() + self.slow_before_plane.capacity())
+                * std::mem::size_of::<u32>()
             + std::mem::size_of::<[usize; 9]>()
     }
 }
@@ -276,6 +334,41 @@ mod tests {
 
     fn all_fluid(n: usize) -> Vec<NodeClass> {
         vec![NodeClass::Fluid; n]
+    }
+
+    /// Direction `i`'s op for fluid `node`: its row word if `Slow`, the op
+    /// [`AdjacencyTable::fwd_offset`] implies if `Fast` (the row-free path).
+    fn op(t: &AdjacencyTable, node: usize, i: usize) -> u32 {
+        match t.kind[node] {
+            NodeKind::Slow => t.row(t.first_row(node))[i - 1],
+            NodeKind::Fast => match FWD.iter().position(|&d| d == i) {
+                Some(k) => (TAG_SWAP << TAG_SHIFT) | (node - t.fwd_offset[k]) as u32,
+                None => TAG_DONE,
+            },
+            NodeKind::Skip => panic!("node {node} has no ops"),
+        }
+    }
+
+    /// A `Wall`-lined tube of radius `r` along z, periodic in z, exterior
+    /// outside the wall layer.
+    fn walled_tube(nx: usize, ny: usize, nz: usize, r: f64) -> Vec<NodeClass> {
+        let (cx, cy) = ((nx - 1) as f64 / 2.0, (ny - 1) as f64 / 2.0);
+        let mut flags = Vec::with_capacity(nx * ny * nz);
+        for _z in 0..nz {
+            for y in 0..ny {
+                for x in 0..nx {
+                    let d = ((x as f64 - cx).powi(2) + (y as f64 - cy).powi(2)).sqrt();
+                    flags.push(if d <= r {
+                        NodeClass::Fluid
+                    } else if d <= r + 1.5 {
+                        NodeClass::Wall
+                    } else {
+                        NodeClass::Exterior
+                    });
+                }
+            }
+        }
+        flags
     }
 
     #[test]
@@ -304,7 +397,7 @@ mod tests {
         for node in 0..nx * ny * nz {
             assert_ne!(t.kind[node], NodeKind::Skip);
             for i in 1..Q {
-                let op = t.ops[node * Q + i];
+                let op = op(&t, node, i);
                 match op >> TAG_SHIFT {
                     TAG_SWAP => {
                         assert!(IS_FWD[i]);
@@ -312,7 +405,7 @@ mod tests {
                         let m = (op & PAYLOAD_MASK) as usize;
                         // The partner's mirrored slot must be DONE (the
                         // exchange is owned here, not there).
-                        assert_eq!(t.ops[m * Q + OPPOSITE[i]], TAG_DONE);
+                        assert_eq!(self::op(&t, m, OPPOSITE[i]), TAG_DONE);
                     }
                     TAG_DONE => assert!(!IS_FWD[i]),
                     tag => panic!("unexpected tag {tag} in periodic box"),
@@ -320,26 +413,67 @@ mod tests {
             }
         }
         assert_eq!(swaps, nx * ny * nz * FWD.len(), "one swap per link pair");
-        // Interior 2×2×2 block is Fast, wrap-touching shell is Slow.
+        // Interior 2×2×2 block is Fast and row-free, wrap-touching shell is
+        // Slow.
         let fast = t.kind.iter().filter(|&&k| k == NodeKind::Fast).count();
         assert_eq!(fast, 8);
+        assert_eq!(t.slow_count(), nx * ny * nz - 8);
     }
 
     #[test]
     fn fast_offsets_match_table_payloads() {
-        let (nx, ny, nz) = (5, 6, 7);
-        let flags = all_fluid(nx * ny * nz);
-        let t = AdjacencyTable::build(nx, ny, nz, [false; 3], &flags, &[]);
-        for node in 0..nx * ny * nz {
-            if t.kind[node] != NodeKind::Fast {
-                continue;
-            }
-            for (k, &i) in FWD.iter().enumerate() {
-                let op = t.ops[node * Q + i];
-                assert_eq!(op >> TAG_SHIFT, TAG_SWAP);
-                assert_eq!((op & PAYLOAD_MASK) as usize, node - t.fwd_offset[k]);
+        // Walls on x, periodic y and z: Fast nodes, wall-adjacent Slow nodes
+        // and wrap Slow nodes.
+        let (nx, ny, nz) = (6, 6, 7);
+        let periodic = [false, true, true];
+        let mut flags = all_fluid(nx * ny * nz);
+        for (node, f) in flags.iter_mut().enumerate() {
+            if node % nx == 0 || node % nx == nx - 1 {
+                *f = NodeClass::Wall;
             }
         }
+        let t = AdjacencyTable::build(nx, ny, nz, periodic, &flags, &[]);
+        let (mut fast, mut slow) = (0, 0);
+        for node in 0..nx * ny * nz {
+            let (x, y, z) = (node % nx, (node / nx) % ny, node / (nx * ny));
+            let src = |i: usize| neighbor_index([nx, ny, nz], periodic, x, y, z, OPPOSITE[i]);
+            match t.kind[node] {
+                NodeKind::Skip => continue,
+                NodeKind::Fast => fast += 1,
+                NodeKind::Slow => slow += 1,
+            }
+            // Both paths name the true pull source as the swap partner.
+            for i in FWD {
+                let op = op(&t, node, i);
+                if src(i).is_some_and(|m| flags[m] == NodeClass::Fluid) {
+                    assert_eq!(op >> TAG_SHIFT, TAG_SWAP, "node {node} dir {i}");
+                    assert_eq!(Some((op & PAYLOAD_MASK) as usize), src(i));
+                } else {
+                    assert_eq!(t.kind[node], NodeKind::Slow);
+                    assert_eq!(op >> TAG_SHIFT, TAG_BOUNCE, "node {node} dir {i}");
+                }
+            }
+            // A Fast node really has 18 fluid neighbours.
+            if t.kind[node] == NodeKind::Fast {
+                assert!((1..Q).all(|i| src(i).is_some_and(|m| flags[m] == NodeClass::Fluid)));
+            }
+        }
+        assert!(fast > 0 && slow > 0, "{fast} fast, {slow} slow");
+        assert_eq!(t.slow_count(), slow);
+    }
+
+    #[test]
+    fn first_row_counts_the_slow_nodes_before_any_start() {
+        let flags = walled_tube(9, 8, 5, 3.0);
+        let t = AdjacencyTable::build(9, 8, 5, [false, false, true], &flags, &[]);
+        let mut before = 0;
+        for node in 0..=flags.len() {
+            assert_eq!(t.first_row(node), before, "start {node}");
+            if t.kind.get(node) == Some(&NodeKind::Slow) {
+                before += 1;
+            }
+        }
+        assert_eq!(before, t.slow_count());
     }
 
     #[test]
@@ -348,7 +482,7 @@ mod tests {
         // must still be emitted exactly once (slots i and opp(i) differ).
         let t = AdjacencyTable::build(1, 1, 4, [true; 3], &all_fluid(4), &[]);
         for node in 0..4 {
-            let op = t.ops[node * Q + 1]; // +x wraps to self
+            let op = op(&t, node, 1); // +x wraps to self
             assert_eq!(op >> TAG_SHIFT, TAG_SWAP);
             assert_eq!((op & PAYLOAD_MASK) as usize, node);
         }
@@ -362,14 +496,15 @@ mod tests {
         assert_eq!(t.kind[0], NodeKind::Skip);
         assert_eq!(t.kind[2], NodeKind::Skip);
         assert_eq!(t.kind[1], NodeKind::Slow);
+        assert_eq!(t.slow_count(), 1);
         // Direction +x pulls from node 0 (wall): bounce.
-        assert_eq!(t.ops[Q + 1] >> TAG_SHIFT, TAG_BOUNCE);
+        assert_eq!(op(&t, 1, 1) >> TAG_SHIFT, TAG_BOUNCE);
         // Direction −x pulls from node 2 (velocity): load.
-        let op = t.ops[Q + 2];
-        assert_eq!(op >> TAG_SHIFT, TAG_LOAD);
-        assert_eq!((op & PAYLOAD_MASK) as usize, 2);
+        let load = op(&t, 1, 2);
+        assert_eq!(load >> TAG_SHIFT, TAG_LOAD);
+        assert_eq!((load & PAYLOAD_MASK) as usize, 2);
         // Off-axis directions leave the (non-periodic) domain: bounce.
-        assert_eq!(t.ops[Q + 3] >> TAG_SHIFT, TAG_BOUNCE);
+        assert_eq!(op(&t, 1, 3) >> TAG_SHIFT, TAG_BOUNCE);
     }
 
     #[test]
@@ -377,13 +512,13 @@ mod tests {
         let uw = [0.05, -0.02, 0.0];
         let flags = [NodeClass::Wall, NodeClass::Fluid, NodeClass::Wall];
         let t = AdjacencyTable::build(3, 1, 1, [false; 3], &flags, &[(0, uw)]);
-        let op = t.ops[Q + 1]; // +x pulls from moving node 0
-        assert_eq!(op >> TAG_SHIFT, TAG_MOVING);
-        let [six_w, cu] = t.moving_coeff[(op & PAYLOAD_MASK) as usize];
+        let moving = op(&t, 1, 1); // +x pulls from moving node 0
+        assert_eq!(moving >> TAG_SHIFT, TAG_MOVING);
+        let [six_w, cu] = t.moving_coeff[(moving & PAYLOAD_MASK) as usize];
         let expect_cu = C[1][0] as f64 * uw[0] + C[1][1] as f64 * uw[1];
         assert_eq!((six_w, cu), (6.0 * W[1], expect_cu));
         // The stationary wall on the other side stays a plain bounce.
-        assert_eq!(t.ops[Q + 2] >> TAG_SHIFT, TAG_BOUNCE);
+        assert_eq!(op(&t, 1, 2) >> TAG_SHIFT, TAG_BOUNCE);
     }
 
     #[test]
@@ -403,9 +538,21 @@ mod tests {
 
     #[test]
     fn table_is_compact() {
-        let n = 32 * 32 * 32;
-        let t = AdjacencyTable::build(32, 32, 32, [true; 3], &all_fluid(n), &[]);
-        // Strictly smaller than the n·19·8-byte scratch array it replaces.
-        assert!(t.bytes() < n * Q * 8, "{} vs {}", t.bytes(), n * Q * 8);
+        // The table pays for the Slow nodes that read rows, not for the box:
+        // at most 76 B per Slow node plus 4 B per node.
+        let (nx, ny, nz) = (32, 32, 32);
+        let n = nx * ny * nz;
+        let t = AdjacencyTable::build(
+            nx,
+            ny,
+            nz,
+            [false, false, true],
+            &walled_tube(nx, ny, nz, 12.0),
+            &[],
+        );
+        let slow = t.slow_count();
+        assert!(slow > 0 && slow < n / 4, "{slow} Slow of {n}");
+        let bound = slow * Q * std::mem::size_of::<u32>() + n * 4;
+        assert!(t.bytes() <= bound, "{} B > {bound} B", t.bytes());
     }
 }

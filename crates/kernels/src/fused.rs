@@ -11,7 +11,8 @@
 //! streaming into a pure exchange of two slots — see the op taxonomy in
 //! [`crate::adjacency`].
 //!
-//! **Streaming (phase B)** replays the precomputed op table. Every op
+//! **Streaming (phase B)** runs each node's ops: nine constant-offset
+//! swaps for a `Fast` node, the node's op row for a `Slow` one. Every op
 //! touches a slot set no other op touches, so ops can run in any order on
 //! any lane and the result is bit-identical to the reference backend for
 //! every thread count — the values moved are the very doubles the reference
@@ -25,7 +26,9 @@
 //! shared cursor of an [`apr_exec::GuidedScheduler`] in fixed ascending
 //! order. Within a chunk each node collides and then executes its ops
 //! immediately; a swap whose partner lies outside the already-collided
-//! part of the chunk goes into a **per-chunk** deferral list.
+//! part of the chunk goes into a **per-chunk** deferral list, as one word
+//! that carries the node, its partner and the direction — so executing it
+//! later needs no table lookup.
 //!
 //! Lanes that run out of chunks don't park at the barrier: they claim
 //! completed chunks from a drain cursor and execute every deferred swap
@@ -45,8 +48,8 @@
 //!
 //! Versus the reference backend this halves distribution-array memory
 //! traffic (no second array to write and swap), eliminates the `n·19·8`-byte
-//! scratch allocation entirely (the op table is ~17× smaller), and pays one
-//! pool barrier per step instead of two.
+//! scratch allocation entirely (the op table holds rows for `Slow` nodes
+//! only), and pays one pool barrier per step instead of two.
 //!
 //! The split [`KernelBackend::collide`]/[`KernelBackend::stream`] halves
 //! remain available for grid couplings that impose post-collision states
@@ -67,9 +70,26 @@ use crate::view::LatticeView;
 use crate::{KernelBackend, KernelKind};
 use apr_exec::{ChunkPlan, GuidedScheduler, UnsafeSlice};
 
-/// Deferred-swap encoding: `(node << 5) | direction` (19 < 2⁵ directions).
+/// Deferred-swap encoding: `(node << 34) | (partner << 5) | direction` —
+/// 29-bit node indices (the adjacency payload range), 19 < 2⁵ directions.
 const DIR_BITS: u32 = 5;
+const NODE_BITS: u32 = TAG_SHIFT;
 const DIR_MASK: u64 = (1 << DIR_BITS) - 1;
+const NODE_MASK: u64 = (1 << NODE_BITS) - 1;
+
+/// Pack the deferred swap `(n, i) ↔ (m, opp(i))` into one word.
+#[inline]
+fn defer_word(n: usize, m: usize, i: usize) -> u64 {
+    ((n as u64) << (NODE_BITS + DIR_BITS)) | ((m as u64) << DIR_BITS) | i as u64
+}
+
+/// Unpack a [`defer_word`] into `(n, i, m)`.
+#[inline]
+fn undefer(e: u64) -> (usize, usize, usize) {
+    let n = (e >> (NODE_BITS + DIR_BITS)) as usize;
+    let m = ((e >> DIR_BITS) & NODE_MASK) as usize;
+    (n, (e & DIR_MASK) as usize, m)
+}
 
 /// Chunks handed out per pool lane: fine enough that a lane drawing cheap
 /// chunks keeps pulling work, coarse enough that claim traffic stays
@@ -162,6 +182,7 @@ fn costed_plan<'a>(
 fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64>) {
     let table = ctx.table;
     let lo = range.start;
+    let mut row = table.first_row(lo);
     for node in range {
         let kind = table.kind[node];
         if kind == NodeKind::Skip {
@@ -182,13 +203,14 @@ fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64
                     if m >= lo {
                         unsafe { swap_slots(&ctx.f, node, i, m) };
                     } else {
-                        pending.push(((node as u64) << DIR_BITS) | i as u64);
+                        pending.push(defer_word(node, m, i));
                     }
                 }
             }
             NodeKind::Slow => {
-                for i in 1..Q {
-                    let op = table.ops[node * Q + i];
+                let ops = table.row(row);
+                row += 1;
+                for (i, &op) in (1..Q).zip(ops) {
                     let payload = (op & PAYLOAD_MASK) as usize;
                     match op >> TAG_SHIFT {
                         TAG_DONE | TAG_BOUNCE => {}
@@ -196,7 +218,7 @@ fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64
                             if payload >= lo && payload < node {
                                 unsafe { swap_slots(&ctx.f, node, i, payload) };
                             } else {
-                                pending.push(((node as u64) << DIR_BITS) | i as u64);
+                                pending.push(defer_word(node, payload, i));
                             }
                         }
                         // LOAD sources are boundary nodes: exempt from
@@ -224,7 +246,7 @@ fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64
 /// shared cursor, run [`scalar_fused_chunk`] once per chunk, overlap the
 /// deferred-swap drain with the sweep tail, and finish leftovers
 /// sequentially after the barrier. Cross-chunk swaps sit in the chunk's
-/// deferral list encoded as `(node << 5) | dir`.
+/// deferral list as [`defer_word`]s.
 fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
     if plan.is_empty() {
         return;
@@ -237,7 +259,6 @@ fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
     for d in defer.iter_mut() {
         d.clear();
     }
-    let table = ctx.table;
     let sched = GuidedScheduler::guided(plan);
     let pending = UnsafeSlice::new(defer.as_mut_slice());
     let overlapped = AtomicUsize::new(0);
@@ -263,9 +284,7 @@ fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
             // `is_done` (Acquire) ordered the owner's pushes before us.
             let list = unsafe { &mut pending.slice_mut(c, 1)[0] };
             list.retain(|&e| {
-                let node = (e >> DIR_BITS) as usize;
-                let i = (e & DIR_MASK) as usize;
-                let m = (table.ops[node * Q + i] & PAYLOAD_MASK) as usize;
+                let (node, i, m) = undefer(e);
                 if sched.is_done(sched.chunk_of(m)) {
                     // SAFETY: both endpoints collided; the op owns its
                     // slot pair.
@@ -288,9 +307,7 @@ fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
     for list in defer[..chunks].iter() {
         leftover += list.len();
         for &e in list {
-            let node = (e >> DIR_BITS) as usize;
-            let i = (e & DIR_MASK) as usize;
-            let m = (table.ops[node * Q + i] & PAYLOAD_MASK) as usize;
+            let (node, i, m) = undefer(e);
             // SAFETY: sequential, and each op owns its slot set.
             unsafe { swap_slots(&ctx.f, node, i, m) };
         }
@@ -309,6 +326,7 @@ fn run_fused_step(ctx: &FusedCtx, defer: &mut Vec<Vec<u64>>, plan: &ChunkPlan) {
 /// Replay every op of `range` inline — valid only when *all* nodes have
 /// already collided (the split-half stream).
 fn replay_range(table: &AdjacencyTable, f: &UnsafeSlice<f64>, rho: &[f64], range: Range<usize>) {
+    let mut row = table.first_row(range.start);
     for node in range {
         match table.kind[node] {
             NodeKind::Skip => {}
@@ -320,8 +338,9 @@ fn replay_range(table: &AdjacencyTable, f: &UnsafeSlice<f64>, rho: &[f64], range
                 }
             }
             NodeKind::Slow => {
-                for i in 1..Q {
-                    let op = table.ops[node * Q + i];
+                let ops = table.row(row);
+                row += 1;
+                for (i, &op) in (1..Q).zip(ops) {
                     let payload = (op & PAYLOAD_MASK) as usize;
                     // SAFETY (all arms): each op owns its slot set.
                     match op >> TAG_SHIFT {
@@ -404,7 +423,7 @@ impl KernelBackend for FusedSwapKernel {
         });
     }
 
-    /// Streaming half for reversed-stored populations: replay the op table
+    /// Streaming half for reversed-stored populations: run every node's ops
     /// over the whole domain (every node has collided, so all ops run
     /// inline), over the guided cost-balanced plan. The values are
     /// slot-local and order-free.

@@ -6,8 +6,8 @@
 //!
 //! - [`d3q19`]: the D3Q19 velocity set and BGK/Guo closed forms (moved
 //!   down from `apr-lattice`, which re-exports them).
-//! - [`adjacency`]: per-node streaming stencils compiled to flat op tables
-//!   at geometry-freeze time.
+//! - [`adjacency`]: streaming stencils compiled at geometry-freeze time —
+//!   constant offsets for interior nodes, op rows for boundary nodes only.
 //! - [`ReferenceKernel`]: the solver's original two-pass collide + pull
 //!   stream, kept verbatim as the equivalence baseline.
 //! - [`FusedSwapKernel`]: in-place swap streaming fused with collision

@@ -617,8 +617,9 @@ impl Lattice {
 
     /// Bytes of distribution-array storage plus the active backend's
     /// auxiliary memory (reference: full second array once streamed;
-    /// fused: the compiled adjacency table). The §3.6-style memory
-    /// accounting hook for the kernel engine.
+    /// fused: the op rows of the `Slow` nodes, the deferred-swap lists and
+    /// the chunk plan). The §3.6-style memory accounting hook for the
+    /// kernel engine.
     pub fn distribution_memory_bytes(&self) -> usize {
         self.f.len() * std::mem::size_of::<f64>() + self.kernel_scratch_bytes()
     }

@@ -3,6 +3,8 @@
 //! enforces. A registry entry that cannot survive this smoke test does
 //! not belong in the zoo.
 
+use apr_kernels::AdjacencyTable;
+use apr_lattice::{Boundary, KernelKind, Lattice, NodeClass, Q};
 use apr_scenarios::{registry, SimSession};
 
 const SMOKE_STEPS: u64 = 20;
@@ -63,5 +65,98 @@ fn cold_builds_are_deterministic_per_scenario() {
             "{}: cold build drifted",
             spec.name
         );
+    }
+}
+
+/// Fluid nodes that read a streaming op row: a non-fluid or out-of-domain
+/// neighbour, or a place on the box's faces (where links may wrap).
+fn slow_nodes(lat: &Lattice) -> usize {
+    (0..lat.node_count())
+        .filter(|&node| {
+            let (x, y, z) = lat.coords(node);
+            let face = [(x, lat.nx), (y, lat.ny), (z, lat.nz)]
+                .iter()
+                .any(|&(c, n)| c == 0 || c + 1 == n);
+            lat.flag(node) == NodeClass::Fluid
+                && (face
+                    || (1..Q).any(|i| {
+                        lat.link_neighbor(node, i)
+                            .is_none_or(|m| lat.flag(m) != NodeClass::Fluid)
+                    }))
+        })
+        .count()
+}
+
+/// Heap bytes of one lattice: its per-node arrays plus the kernel's
+/// scratch.
+fn lattice_bytes(lat: &Lattice) -> usize {
+    let f64s = lat.storage_f().len()
+        + lat.rho.len()
+        + lat.vel.len()
+        + lat.force.len()
+        + lat.tau_field().map_or(0, <[f64]>::len);
+    f64s * std::mem::size_of::<f64>() + lat.node_count() + lat.kernel_scratch_bytes()
+}
+
+/// The streaming table the fused kernel compiles for `lat`.
+fn adjacency(lat: &Lattice) -> AdjacencyTable {
+    let flags: Vec<NodeClass> = (0..lat.node_count()).map(|n| lat.flag(n)).collect();
+    let moving: Vec<(usize, [f64; 3])> = (0..lat.node_count())
+        .filter_map(|n| match lat.boundary(n) {
+            Some(Boundary::MovingWall(u)) if lat.flag(n) == NodeClass::Wall => Some((n, u)),
+            _ => None,
+        })
+        .collect();
+    AdjacencyTable::build(lat.nx, lat.ny, lat.nz, lat.periodic, &flags, &moving)
+}
+
+/// The zoo's memory table: for every lattice of every registry scenario,
+/// its size, fluid fraction, `Fast`/`Slow` split, the fused kernel's
+/// scratch (op table, deferred-swap lists, chunk plan) and the lattice's
+/// bytes per fluid point, printed (`--nocapture`) before the checks: the
+/// op table has one row per `Slow` node and stays within `19 · 4` bytes
+/// per `Slow` node plus 4 bytes per node.
+#[test]
+fn zoo_memory_table_prices_the_kernel_by_its_slow_nodes() {
+    let mut rows = Vec::new();
+    for spec in registry() {
+        let lattices: Vec<(String, Lattice)> = if spec.windows.len() == 1 {
+            let eng = spec.build_apr().expect("build");
+            vec![("coarse".into(), eng.coarse), ("fine".into(), eng.fine)]
+        } else {
+            let eng = spec.build_multi().expect("build");
+            let fines = eng.windows.into_iter().enumerate();
+            std::iter::once(("coarse".into(), eng.coarse))
+                .chain(fines.map(|(k, w)| (format!("fine {k}"), w.fine)))
+                .collect()
+        };
+        for (which, mut lat) in lattices {
+            lat.set_kernel(Some(KernelKind::FusedSwap));
+            lat.step();
+            rows.push((format!("{} {which}", spec.name), lat));
+        }
+    }
+    println!(
+        "{:<22} {:>6} {:>6} {:>6} {:>5} {:>8} {:>8} {:>8} {:>7}",
+        "lattice", "nodes", "fluid", "fast", "slow", "table B", "bound B", "kernel B", "B/fluid"
+    );
+    let mut checks = Vec::new();
+    for (name, lat) in &rows {
+        let (n, fluid, slow) = (lat.node_count(), lat.fluid_node_count(), slow_nodes(lat));
+        let table = adjacency(lat);
+        let bound = slow * Q * 4 + n * 4;
+        println!(
+            "{name:<22} {n:>6} {:>5.1}% {:>6} {slow:>5} {:>8} {bound:>8} {:>8} {:>7.0}",
+            100.0 * fluid as f64 / n as f64,
+            fluid - slow,
+            table.bytes(),
+            lat.kernel_scratch_bytes(),
+            lattice_bytes(lat) as f64 / fluid as f64,
+        );
+        checks.push((name, table.slow_count(), slow, table.bytes(), bound));
+    }
+    for (name, rows, slow, bytes, bound) in checks {
+        assert_eq!(rows, slow, "{name}: one op row per Slow node");
+        assert!(bytes <= bound, "{name}: op table {bytes} B > {bound} B");
     }
 }
