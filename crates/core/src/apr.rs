@@ -15,7 +15,7 @@ use apr_ibm::DeltaKernel;
 use apr_lattice::{KernelKind, Lattice, RuntimeConfig, SubStep};
 use apr_membrane::Membrane;
 use apr_mesh::Vec3;
-use apr_telemetry::ledger::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
+use apr_telemetry::ledger::{ConservationLedger, LedgerConfig, PendingRow, WindowFlux};
 use apr_window::{
     move_window, remove_escaped_cells, repopulate, CtcTracker, HematocritController,
     InsertionContext, InsertionReport, MoveTrigger, WindowAnatomy,
@@ -88,8 +88,12 @@ pub struct AprEngine {
     /// Steps between window-maintenance sweeps.
     pub maintenance_interval: u64,
     /// Conservation ledger (None = no per-step accounting; stepping then
-    /// costs nothing beyond the existing gauges).
+    /// costs nothing beyond the existing gauges). Its newest row is the
+    /// previous step's until [`AprEngine::close_ledger`] is called.
     pub ledger: Option<ConservationLedger>,
+    /// The last step's ledger row, completed from the next step's collides
+    /// (see [`apr_telemetry::ledger`]).
+    pub(crate) pending_row: Option<PendingRow>,
     pub(crate) geometry: Option<FineGeometry>,
     pub(crate) bulk_driver: Option<BulkDriver>,
     pub(crate) steer: Option<WindowSteer>,
@@ -186,9 +190,10 @@ impl AprEngineBuilder {
         self
     }
 
-    /// Arm the conservation ledger: every step samples bulk and window
-    /// mass/momentum totals (deterministic ordered reduction), tracks
-    /// drift against `config`'s tolerances, and keeps the latest sample
+    /// Arm the conservation ledger: every step records bulk and window
+    /// mass/momentum totals (from the next step's collides, in a fixed
+    /// order; see [`AprEngine::close_ledger`]), tracks drift against
+    /// `config`'s tolerances, and keeps the latest sample
     /// ([`ConservationLedger::last`]). Latched breaches surface as
     /// `HealthIssue::ConservationDrift` at the next guardian inspection.
     pub fn ledger(mut self, config: LedgerConfig) -> Self {
@@ -257,6 +262,7 @@ impl AprEngineBuilder {
             tracker: CtcTracker::new(),
             maintenance_interval,
             ledger: ledger.map(ConservationLedger::new),
+            pending_row: None,
             geometry: None,
             bulk_driver: None,
             steer: None,
@@ -522,30 +528,38 @@ impl AprEngine {
         report
     }
 
-    /// Feed the conservation ledger, if one is armed. The totals come
-    /// from the exec pool's fixed-shape ordered reduction, so arming the
-    /// ledger never perturbs bit-identity of the physics it audits.
+    /// Feed the conservation ledger, if one is armed: record the previous
+    /// step's row from the totals this step's first collides computed, then
+    /// open this step's row and ask both lattices for the totals of the
+    /// state it ends in. Reading totals never perturbs the physics they
+    /// audit. A step taken with the ledger out drops the pending row.
     fn sample_ledger(&mut self, flux: WindowFlux) {
+        self.close_ledger();
         if self.ledger.is_none() {
             return;
         }
+        self.pending_row = Some(PendingRow {
+            step: self.steps,
+            hematocrit: self.window_hematocrit(),
+            flux,
+        });
+        self.coarse.request_totals();
+        self.fine.request_totals();
+    }
+
+    /// Record the last step's pending ledger row now, so the ledger covers
+    /// the current state: with one sweep of each lattice, unless a collide
+    /// has computed the totals already (as during the next step, which
+    /// calls this). Call it before reading the ledger at the end of a run.
+    /// Without an armed ledger the pending row is dropped.
+    pub fn close_ledger(&mut self) {
+        let (Some(row), Some(ledger)) = (self.pending_row.take(), self.ledger.as_mut()) else {
+            return;
+        };
         let _s = apr_telemetry::span("observe.ledger");
-        let (mass, momentum, nodes) = self.coarse.mass_momentum_totals();
-        let bulk = DomainTotals {
-            mass,
-            momentum,
-            fluid_nodes: nodes as u64,
-        };
-        let (mass, momentum, nodes) = self.fine.mass_momentum_totals();
-        let window = DomainTotals {
-            mass,
-            momentum,
-            fluid_nodes: nodes as u64,
-        };
-        let hematocrit = self.window_hematocrit();
-        let steps = self.steps;
-        let ledger = self.ledger.as_mut().expect("checked above");
-        ledger.record(steps, bulk, window, hematocrit, flux);
+        let bulk = self.coarse.take_totals().into();
+        let window = self.fine.take_totals().into();
+        ledger.record(row.step, bulk, window, row.hematocrit, row.flux);
     }
 
     /// Per-step observability: region occupancy and window hematocrit

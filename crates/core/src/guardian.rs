@@ -194,10 +194,12 @@ pub fn restore_engine(
     engine.moves = moves;
     engine.rng = StdRng::from_state(rng_state);
     // The restored totals are discontinuous with the pre-restore ones by
-    // construction; a stale comparison would report phantom drift.
+    // construction; a stale comparison would report phantom drift, and a
+    // pending row describes a state that is gone.
     if let Some(ledger) = engine.ledger.as_mut() {
         ledger.reset_continuity();
     }
+    engine.pending_row = None;
     Ok(())
 }
 
@@ -317,8 +319,10 @@ impl Guardian {
         self.last_good.as_deref()
     }
 
-    /// Run the sentinel over the engine's current state.
-    pub fn inspect(&self, engine: &AprEngine) -> HealthReport {
+    /// Run the sentinel over the engine's current state. Closes the
+    /// engine's ledger first, so the verdict covers the last step's row.
+    pub fn inspect(&self, engine: &mut AprEngine) -> HealthReport {
+        engine.close_ledger();
         let mut issues = Vec::new();
         check_lattice(&engine.fine, &self.sentinel, &mut issues);
         check_lattice(&engine.coarse, &self.sentinel, &mut issues);

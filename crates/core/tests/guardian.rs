@@ -431,7 +431,7 @@ mod fault_injection {
             guardian.log.summary()
         );
         // After recovery the lattice is sane again.
-        let report = guardian.inspect(&eng);
+        let report = guardian.inspect(&mut eng);
         assert!(report.is_healthy(), "{report:?}");
     }
 }

@@ -158,11 +158,11 @@ fn seeding_reproduces_coarse_state() {
 #[test]
 fn mass_stays_bounded_through_coupling() {
     let mut sys = build(2, 0.5);
-    let m0 = sys.coarse.total_mass() + sys.fine.total_mass();
+    let m0 = sys.coarse.mass_momentum_totals().0 + sys.fine.mass_momentum_totals().0;
     for _ in 0..2000 {
         coupled_step(&mut sys.coarse, &mut sys.fine, &sys.map, |_, _| {});
     }
-    let m1 = sys.coarse.total_mass() + sys.fine.total_mass();
+    let m1 = sys.coarse.mass_momentum_totals().0 + sys.fine.mass_momentum_totals().0;
     // Interface exchange is not exactly conservative (interpolation), but
     // drift must stay far below a percent over thousands of steps.
     assert!((m1 - m0).abs() / m0 < 5e-3, "mass drift {m0} -> {m1}");

@@ -438,24 +438,6 @@ impl ExecPool {
         level.into_iter().next()
     }
 
-    /// Deterministic parallel sum of four accumulators at once (the shape
-    /// conservation accounting needs: mass plus three momentum
-    /// components). `map` produces a `[f64; 4]` partial per chunk; the
-    /// partials are combined componentwise through the same fixed-shape
-    /// ordered pairwise tree as [`Self::par_map_reduce`], so totals are
-    /// bit-identical across thread counts. Returns zeros for `len == 0`.
-    pub fn par_sum4(
-        &self,
-        len: usize,
-        chunk_len: usize,
-        map: impl Fn(usize, Range<usize>) -> [f64; 4] + Sync,
-    ) -> [f64; 4] {
-        self.par_map_reduce(len, chunk_len, map, |a, b| {
-            [a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]]
-        })
-        .unwrap_or([0.0; 4])
-    }
-
     /// Deterministic **guided** chunking over a [`ChunkPlan`]: chunks are
     /// claimed in fixed ascending order from a shared atomic cursor by
     /// whichever lane frees up next, so a lane that drew cheap chunks keeps
@@ -834,36 +816,6 @@ mod tests {
         assert_eq!(survived.load(Ordering::SeqCst), 3);
         // The pool stays usable after a panic.
         pool.run(&|_| {});
-    }
-
-    #[test]
-    fn par_sum4_is_bit_identical_across_thread_counts() {
-        // Awkward magnitudes so any reassociation of the reduction tree
-        // would change the rounding and fail the exact comparison.
-        let data: Vec<f64> = (0..1003)
-            .map(|i| ((i * 2654435761_usize) % 1000) as f64 * 1e-7 + 1.0)
-            .collect();
-        let map = |_chunk: usize, range: std::ops::Range<usize>| {
-            let mut acc = [0.0; 4];
-            for i in range {
-                acc[0] += data[i];
-                acc[1] += data[i] * 0.5;
-                acc[2] -= data[i] * 0.25;
-                acc[3] += 1.0;
-            }
-            acc
-        };
-        let reference = ExecPool::new(1).par_sum4(data.len(), 64, map);
-        assert_eq!(reference[3], data.len() as f64);
-        for threads in [2, 3, 8] {
-            let pool = ExecPool::new(threads);
-            assert_eq!(
-                pool.par_sum4(data.len(), 64, map),
-                reference,
-                "{threads} threads"
-            );
-        }
-        assert_eq!(ExecPool::new(4).par_sum4(0, 64, map), [0.0; 4]);
     }
 
     #[test]

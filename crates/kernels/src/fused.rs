@@ -46,6 +46,12 @@
 //! unobservable in the output — bit-identical for any thread count and any
 //! scheduling accident.
 //!
+//! **Totals.** Each chunk sweeps its z-planes in order and writes one
+//! `(ρ, m)` partial per plane from the pre-collision moments the collision
+//! computes anyway; the planes fold in plane order ([`crate::totals`]).
+//! Chunks are plane-aligned, so the totals a step returns equal an
+//! explicit sweep of the state it started from, bit for bit.
+//!
 //! Versus the reference backend this halves distribution-array memory
 //! traffic (no second array to write and swap), eliminates the `n·19·8`-byte
 //! scratch allocation entirely (the op table holds rows for `Slow` nodes
@@ -66,6 +72,7 @@ use crate::adjacency::{
 };
 use crate::d3q19::{OPPOSITE, Q};
 use crate::reference::{array, bgk_post_collision, tau_at};
+use crate::totals::{accumulate, fold_planes, Totals};
 use crate::view::LatticeView;
 use crate::{KernelBackend, KernelKind};
 use apr_exec::{ChunkPlan, GuidedScheduler, UnsafeSlice};
@@ -109,7 +116,8 @@ unsafe fn swap_slots(f: &UnsafeSlice<f64>, n: usize, i: usize, m: usize) {
 }
 
 /// Shared raw-view context for one fused pass: everything a per-chunk
-/// closure needs to collide nodes and replay ops.
+/// closure needs to collide nodes, replay ops and write its planes'
+/// totals partials.
 struct FusedCtx<'v> {
     table: &'v AdjacencyTable,
     f: UnsafeSlice<'v, f64>,
@@ -119,12 +127,21 @@ struct FusedCtx<'v> {
     tau_field: Option<&'v [f64]>,
     global_tau: f64,
     bf: [f64; 3],
+    /// Nodes per z-plane.
+    plane: usize,
+    /// One totals partial per z-plane.
+    partials: UnsafeSlice<'v, Totals>,
 }
 
 impl<'v> FusedCtx<'v> {
-    fn new(view: &'v mut LatticeView<'_>, table: &'v AdjacencyTable) -> Self {
+    fn new(
+        view: &'v mut LatticeView<'_>,
+        table: &'v AdjacencyTable,
+        partials: &'v mut [Totals],
+    ) -> Self {
         Self {
             table,
+            plane: view.nx * view.ny,
             f: UnsafeSlice::new(view.f.as_mut_slice()),
             rho: UnsafeSlice::new(&mut view.rho[..]),
             vel: UnsafeSlice::new(&mut view.vel[..]),
@@ -132,29 +149,46 @@ impl<'v> FusedCtx<'v> {
             tau_field: view.tau_field,
             global_tau: view.tau,
             bf: view.body_force,
+            partials: UnsafeSlice::new(partials),
+        }
+    }
+
+    /// Run `per_plane` over each z-plane of the plane-aligned `range` in
+    /// order, storing what it returns as the plane's totals partial.
+    fn for_planes(&self, range: Range<usize>, mut per_plane: impl FnMut(Range<usize>) -> Totals) {
+        debug_assert!(
+            range.start.is_multiple_of(self.plane) && range.end.is_multiple_of(self.plane)
+        );
+        for z in range.start / self.plane..range.end / self.plane {
+            let acc = per_plane(z * self.plane..(z + 1) * self.plane);
+            // SAFETY: chunks are disjoint and plane-aligned, so plane `z`
+            // belongs to this chunk alone.
+            unsafe { self.partials.slice_mut(z, 1)[0] = acc };
         }
     }
 }
 
-/// Collide one fluid node with the reference BGK arithmetic and store the
-/// post-collision populations direction-reversed. Returns the density.
+/// Collide one fluid node with the reference BGK arithmetic, store the
+/// post-collision populations direction-reversed, and add its
+/// pre-collision `(ρ, m)` to `acc`. Returns the density.
 ///
 /// # Safety
 /// The caller must be the sole accessor of `node`'s f/rho/vel storage.
 #[inline]
-unsafe fn collide_node_reversed(ctx: &FusedCtx, node: usize) -> f64 {
+unsafe fn collide_node_reversed(ctx: &FusedCtx, node: usize, acc: &mut Totals) -> f64 {
     let fs = ctx.f.slice_mut(node * Q, Q);
     let rho = &mut ctx.rho.slice_mut(node, 1)[0];
     let vel = ctx.vel.slice_mut(node * 3, 3);
     let g = &ctx.force[node * 3..node * 3 + 3];
     let tau = tau_at(ctx.tau_field, ctx.global_tau, node);
-    let (r, u, post) = bgk_post_collision(array(fs), array(g), ctx.bf, tau);
-    *rho = r;
-    vel.copy_from_slice(&u);
+    let c = bgk_post_collision(array(fs), array(g), ctx.bf, tau);
+    accumulate(acc, c.rho, c.momentum);
+    *rho = c.rho;
+    vel.copy_from_slice(&c.vel);
     for i in 0..Q {
-        fs[OPPOSITE[i]] = post[i];
+        fs[OPPOSITE[i]] = c.post[i];
     }
-    r
+    c.rho
 }
 
 /// The cost-balanced chunk plan for this geometry at `threads` lanes,
@@ -176,70 +210,75 @@ fn costed_plan<'a>(
     &cache.as_ref().expect("plan cached above").1
 }
 
-/// Scalar fused sweep of one chunk: collide each node, then execute its
-/// ops — inline when the partner has already collided *in this chunk's
-/// sweep*, deferred into `pending` otherwise.
+/// Scalar fused sweep of one chunk, plane by plane: collide each node,
+/// then execute its ops — inline when the partner has already collided
+/// *in this chunk's sweep*, deferred into `pending` otherwise.
 fn scalar_fused_chunk(ctx: &FusedCtx, range: Range<usize>, pending: &mut Vec<u64>) {
     let table = ctx.table;
     let lo = range.start;
     let mut row = table.first_row(lo);
-    for node in range {
-        let kind = table.kind[node];
-        if kind == NodeKind::Skip {
-            continue;
-        }
-        // Phase A. SAFETY: node-local storage, one owner per node (chunks
-        // are disjoint and claimed exactly once).
-        let r = unsafe { collide_node_reversed(ctx, node) };
-        // Phase B, inline where the partner has already collided in this
-        // chunk's sweep; deferred past the chunk otherwise.
-        // SAFETY (all swap/load/moving arms): each op owns its slot set,
-        // and no op of node `p` executes before `p`'s own collision except
-        // via the drain (which gates on the partner chunk's completion).
-        match kind {
-            NodeKind::Fast => {
-                for (k, &i) in FWD.iter().enumerate() {
-                    let m = node - table.fwd_offset[k];
-                    if m >= lo {
-                        unsafe { swap_slots(&ctx.f, node, i, m) };
-                    } else {
-                        pending.push(defer_word(node, m, i));
-                    }
-                }
+    ctx.for_planes(range, |nodes| {
+        let mut acc = [0.0; 4];
+        for node in nodes {
+            let kind = table.kind[node];
+            if kind == NodeKind::Skip {
+                continue;
             }
-            NodeKind::Slow => {
-                let ops = table.row(row);
-                row += 1;
-                for (i, &op) in (1..Q).zip(ops) {
-                    let payload = (op & PAYLOAD_MASK) as usize;
-                    match op >> TAG_SHIFT {
-                        TAG_DONE | TAG_BOUNCE => {}
-                        TAG_SWAP => {
-                            if payload >= lo && payload < node {
-                                unsafe { swap_slots(&ctx.f, node, i, payload) };
-                            } else {
-                                pending.push(defer_word(node, payload, i));
-                            }
+            // Phase A. SAFETY: node-local storage, one owner per node
+            // (chunks are disjoint and claimed exactly once).
+            let r = unsafe { collide_node_reversed(ctx, node, &mut acc) };
+            // Phase B, inline where the partner has already collided in
+            // this chunk's sweep; deferred past the chunk otherwise.
+            // SAFETY (all swap/load/moving arms): each op owns its slot
+            // set, and no op of node `p` executes before `p`'s own
+            // collision except via the drain (which gates on the partner
+            // chunk's completion).
+            match kind {
+                NodeKind::Fast => {
+                    for (k, &i) in FWD.iter().enumerate() {
+                        let m = node - table.fwd_offset[k];
+                        if m >= lo {
+                            unsafe { swap_slots(&ctx.f, node, i, m) };
+                        } else {
+                            pending.push(defer_word(node, m, i));
                         }
-                        // LOAD sources are boundary nodes: exempt from
-                        // collision, so their populations are already final.
-                        TAG_LOAD => unsafe {
-                            ctx.f.slice_mut(node * Q + i, 1)[0] =
-                                ctx.f.slice_mut(payload * Q + i, 1)[0];
-                        },
-                        TAG_MOVING => unsafe {
-                            // Same association order as the reference:
-                            // (6 w_i * rho) * (c.u_w).
-                            let [six_w, cu] = table.moving_coeff[payload];
-                            ctx.f.slice_mut(node * Q + i, 1)[0] += six_w * r * cu;
-                        },
-                        tag => unreachable!("corrupt op tag {tag}"),
                     }
                 }
+                NodeKind::Slow => {
+                    let ops = table.row(row);
+                    row += 1;
+                    for (i, &op) in (1..Q).zip(ops) {
+                        let payload = (op & PAYLOAD_MASK) as usize;
+                        match op >> TAG_SHIFT {
+                            TAG_DONE | TAG_BOUNCE => {}
+                            TAG_SWAP => {
+                                if payload >= lo && payload < node {
+                                    unsafe { swap_slots(&ctx.f, node, i, payload) };
+                                } else {
+                                    pending.push(defer_word(node, payload, i));
+                                }
+                            }
+                            // LOAD sources are boundary nodes: exempt from
+                            // collision, so their populations are final.
+                            TAG_LOAD => unsafe {
+                                ctx.f.slice_mut(node * Q + i, 1)[0] =
+                                    ctx.f.slice_mut(payload * Q + i, 1)[0];
+                            },
+                            TAG_MOVING => unsafe {
+                                // Same association order as the reference:
+                                // (6 w_i * rho) * (c.u_w).
+                                let [six_w, cu] = table.moving_coeff[payload];
+                                ctx.f.slice_mut(node * Q + i, 1)[0] += six_w * r * cu;
+                            },
+                            tag => unreachable!("corrupt op tag {tag}"),
+                        }
+                    }
+                }
+                NodeKind::Skip => unreachable!(),
             }
-            NodeKind::Skip => unreachable!(),
         }
-    }
+        acc
+    });
 }
 
 /// The fused-step driver: claim chunks from a [`GuidedScheduler`]'s
@@ -406,21 +445,27 @@ impl KernelBackend for FusedSwapKernel {
 
     /// Collision half over the whole domain with reversed stores, over
     /// the guided cost-balanced plan.
-    fn collide(&mut self, view: &mut LatticeView) {
+    fn collide(&mut self, view: &mut LatticeView) -> Totals {
         let Self { table, plan, .. } = self;
         let pool = apr_exec::current();
         let plan = costed_plan(table, view.nx * view.ny, plan, pool.threads());
-        let ctx = FusedCtx::new(view, table);
+        let mut partials = vec![[0.0; 4]; view.nz];
+        let ctx = FusedCtx::new(view, table, &mut partials);
         pool.par_for_guided(plan, |_, range| {
-            for node in range {
-                if ctx.table.kind[node] == NodeKind::Skip {
-                    continue;
+            ctx.for_planes(range, |nodes| {
+                let mut acc = [0.0; 4];
+                for node in nodes {
+                    if ctx.table.kind[node] == NodeKind::Skip {
+                        continue;
+                    }
+                    // SAFETY: chunk ranges are disjoint; node storage is
+                    // touched by exactly one lane.
+                    unsafe { collide_node_reversed(&ctx, node, &mut acc) };
                 }
-                // SAFETY: chunk ranges are disjoint; node storage is touched
-                // by exactly one lane.
-                unsafe { collide_node_reversed(&ctx, node) };
-            }
+                acc
+            });
         });
+        fold_planes(&partials)
     }
 
     /// Streaming half for reversed-stored populations: run every node's ops
@@ -438,12 +483,14 @@ impl KernelBackend for FusedSwapKernel {
 
     /// Fused full step: one pool dispatch for both phases, with the
     /// deferred-swap drain overlapped into the sweep tail.
-    fn step(&mut self, view: &mut LatticeView) {
+    fn step(&mut self, view: &mut LatticeView) -> Totals {
         let Self { table, defer, plan } = self;
         let threads = apr_exec::current().threads();
         let plan = costed_plan(table, view.nx * view.ny, plan, threads);
-        let ctx = FusedCtx::new(view, table);
+        let mut partials = vec![[0.0; 4]; view.nz];
+        let ctx = FusedCtx::new(view, table, &mut partials);
         run_fused_step(&ctx, defer, plan);
+        fold_planes(&partials)
     }
 
     fn reversed_between_halves(&self) -> bool {

@@ -15,6 +15,9 @@
 //!   pool barrier per step instead of two, bit-identical results.
 //! - [`runtime`]: the unified [`RuntimeConfig`] surface — one typed
 //!   parser for `APR_KERNEL` / `APR_THREADS`, installed process-wide.
+//! - [`totals`]: the per-plane summation order of the mass/momentum
+//!   totals every collide returns and `Lattice::mass_momentum_totals`
+//!   sweeps.
 //!
 //! [`FusedSwapKernel`] is the one production kernel; [`ReferenceKernel`]
 //! is the oracle tests compare it against. Both implement
@@ -26,12 +29,14 @@ pub mod d3q19;
 mod fused;
 mod reference;
 pub mod runtime;
+pub mod totals;
 mod view;
 
 pub use adjacency::{neighbor_index, AdjacencyTable, NodeKind};
 pub use fused::FusedSwapKernel;
 pub use reference::ReferenceKernel;
 pub use runtime::{RuntimeConfig, RuntimeConfigError};
+pub use totals::Totals;
 pub use view::{stream_grain, LatticeView, NodeClass};
 
 /// Selectable kernel backend variants.
@@ -80,18 +85,25 @@ impl std::fmt::Display for KernelKind {
 ///   can translate its accessors.
 /// - **Determinism**: results never depend on the `apr-exec` lane count
 ///   or on which lane claims which chunk.
+/// - **Totals**: `collide` and `step` return the mass/momentum [`Totals`]
+///   of the state they started from, summed in the [`totals`] order from
+///   the moments the collision computes anyway — bit-identical to an
+///   explicit sweep of that state.
 pub trait KernelBackend {
     /// Which variant this is.
     fn kind(&self) -> KernelKind;
-    /// Collision half-step over every fluid node.
-    fn collide(&mut self, view: &mut LatticeView);
+    /// Collision half-step over every fluid node; returns the totals of
+    /// the pre-collision state.
+    fn collide(&mut self, view: &mut LatticeView) -> Totals;
     /// Streaming half-step (bounce-back and link transport; the solver
     /// applies velocity/pressure boundary rebuilds afterwards).
     fn stream(&mut self, view: &mut LatticeView);
     /// Full step; backends may override with a fused implementation.
-    fn step(&mut self, view: &mut LatticeView) {
-        self.collide(view);
+    /// Returns the totals of the state it started from.
+    fn step(&mut self, view: &mut LatticeView) -> Totals {
+        let totals = self.collide(view);
         self.stream(view);
+        totals
     }
     /// Whether distributions are stored direction-reversed between
     /// `collide` and `stream`.

@@ -12,22 +12,27 @@
 //! write is slot-local).
 
 use crate::d3q19::{equilibrium_all, guo_force_all, moments, C, OPPOSITE, Q, W};
+use crate::totals::{accumulate, fold_planes, Totals};
 use crate::view::{stream_grain, LatticeView, NodeClass};
 use crate::{KernelBackend, KernelKind};
 use apr_exec::UnsafeSlice;
 
-/// BGK collision with Guo forcing at one node: returns the density, the
-/// (half-force corrected) velocity, and the 19 post-collision populations.
-/// Composed from the three direction-unrolled [`crate::d3q19`] primitives,
-/// which fix every bit of the result (DESIGN.md §11); both backends route
-/// through it so "bit-identical" holds by construction.
+/// One node's collision: the pre-collision density and momentum, the
+/// (half-force corrected) velocity and the 19 post-collision populations.
+pub(crate) struct Collided {
+    pub rho: f64,
+    pub momentum: [f64; 3],
+    pub vel: [f64; 3],
+    pub post: [f64; Q],
+}
+
+/// BGK collision with Guo forcing at one node. Composed from the three
+/// direction-unrolled [`crate::d3q19`] primitives, which fix every bit of
+/// the result (DESIGN.md §11); both backends route through it so
+/// "bit-identical" holds by construction. The momentum is the one the
+/// velocity is computed from, handed back for the totals.
 #[inline]
-pub(crate) fn bgk_post_collision(
-    fs: &[f64; Q],
-    g: &[f64; 3],
-    bf: [f64; 3],
-    tau: f64,
-) -> (f64, [f64; 3], [f64; Q]) {
+pub(crate) fn bgk_post_collision(fs: &[f64; Q], g: &[f64; 3], bf: [f64; 3], tau: f64) -> Collided {
     let omega = 1.0 / tau;
     let force_scale = 1.0 - 0.5 * omega;
     let (r, m) = moments(fs);
@@ -43,7 +48,12 @@ pub(crate) fn bgk_post_collision(
     for i in 0..Q {
         post[i] = fs[i] + (omega * (feq[i] - fs[i]) + force_scale * forcing[i]);
     }
-    (r, [ux, uy, uz], post)
+    Collided {
+        rho: r,
+        momentum: m,
+        vel: [ux, uy, uz],
+        post,
+    }
 }
 
 /// A slice the caller cut to `N` values — one node's populations or force
@@ -85,8 +95,9 @@ impl KernelBackend for ReferenceKernel {
 
     /// BGK collision with Guo forcing on every fluid node; updates stored
     /// `rho` and `vel`. One z-plane of nodes per chunk; every write is
-    /// node-local, so the result is independent of the thread count.
-    fn collide(&mut self, view: &mut LatticeView) {
+    /// node-local, so the result is independent of the thread count. The
+    /// chunk's pre-collision `(ρ, m)` sum is its plane's totals partial.
+    fn collide(&mut self, view: &mut LatticeView) -> Totals {
         let global_tau = view.tau;
         let bf = view.body_force;
         let flags = view.flags;
@@ -97,8 +108,11 @@ impl KernelBackend for ReferenceKernel {
         let f = UnsafeSlice::new(view.f.as_mut_slice());
         let rho = UnsafeSlice::new(&mut view.rho[..]);
         let vel = UnsafeSlice::new(&mut view.vel[..]);
+        let mut planes = vec![[0.0; 4]; view.nz];
+        let partials = UnsafeSlice::new(&mut planes);
         let pool = apr_exec::current();
-        pool.par_for_ranges(n, plane, |_, range| {
+        pool.par_for_ranges(n, plane, |z, range| {
+            let mut acc = [0.0; 4];
             for node in range {
                 if flags[node] != NodeClass::Fluid {
                     continue;
@@ -110,12 +124,16 @@ impl KernelBackend for ReferenceKernel {
                 let vel = unsafe { vel.slice_mut(node * 3, 3) };
                 let g = &force[node * 3..node * 3 + 3];
                 let tau = tau_at(tau_field, global_tau, node);
-                let (r, u, post) = bgk_post_collision(array(fs), array(g), bf, tau);
-                *rho = r;
-                vel.copy_from_slice(&u);
-                fs.copy_from_slice(&post);
+                let c = bgk_post_collision(array(fs), array(g), bf, tau);
+                accumulate(&mut acc, c.rho, c.momentum);
+                *rho = c.rho;
+                vel.copy_from_slice(&c.vel);
+                fs.copy_from_slice(&c.post);
             }
+            // SAFETY: chunk `z` is plane `z`, visited by one lane.
+            unsafe { partials.slice_mut(z, 1)[0] = acc };
         });
+        fold_planes(&planes)
     }
 
     /// Pull-streaming with halfway bounce-back (optionally moving walls).

@@ -13,7 +13,10 @@
 
 use crate::d3q19::{equilibrium_all, lattice_viscosity_from_tau, moments, OPPOSITE, Q};
 use crate::kernel_select;
-use apr_kernels::{FusedSwapKernel, KernelBackend, KernelKind, LatticeView, ReferenceKernel};
+use apr_kernels::totals::{accumulate, fold_planes};
+use apr_kernels::{
+    FusedSwapKernel, KernelBackend, KernelKind, LatticeView, ReferenceKernel, Totals,
+};
 use std::collections::HashMap;
 
 pub use apr_kernels::NodeClass;
@@ -79,6 +82,22 @@ enum Backend {
     },
 }
 
+/// Mass, momentum and fluid-node count, as
+/// [`Lattice::mass_momentum_totals`] returns them.
+type MassMomentum = (f64, [f64; 3], usize);
+
+/// Where a [`Lattice::request_totals`] stands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TotalsRequest {
+    /// Nothing requested.
+    Idle,
+    /// Requested; the populations have not changed since.
+    Open,
+    /// The totals of the requested state, from the collide that followed
+    /// or from the sweep a mutator ran before writing.
+    Settled(MassMomentum),
+}
+
 /// A D3Q19 lattice Boltzmann fluid domain.
 #[derive(Debug, Clone)]
 pub struct Lattice {
@@ -132,6 +151,7 @@ pub struct Lattice {
     /// rebuilt lazily when `moving_rev` falls behind `geometry_rev`.
     moving_walls: Vec<(usize, [f64; 3])>,
     moving_rev: u64,
+    totals: TotalsRequest,
 }
 
 impl Lattice {
@@ -172,6 +192,7 @@ impl Lattice {
             geometry_rev: 0,
             moving_walls: Vec::new(),
             moving_rev: 0,
+            totals: TotalsRequest::Idle,
         }
     }
 
@@ -207,6 +228,7 @@ impl Lattice {
     /// [`Self::set_boundary`] / [`Self::clear_boundary`], which keep the
     /// flag and any attached boundary value consistent.
     pub fn set_flag(&mut self, node: usize, class: NodeClass) {
+        self.settle_if_fluid_set_changes(node, class);
         self.flags[node] = class;
         self.geometry_rev += 1;
     }
@@ -230,6 +252,7 @@ impl Lattice {
         if !value_only {
             self.geometry_rev += 1;
         }
+        self.settle_if_fluid_set_changes(node, new_class);
         self.flags[node] = new_class;
         match boundary {
             Boundary::Wall | Boundary::Exterior => self.remove_bc_entry(node),
@@ -258,6 +281,7 @@ impl Lattice {
 
     /// Revert `node` to interior fluid, removing any boundary data.
     pub fn clear_boundary(&mut self, node: usize) {
+        self.settle_if_fluid_set_changes(node, NodeClass::Fluid);
         self.flags[node] = NodeClass::Fluid;
         self.geometry_rev += 1;
         self.remove_bc_entry(node);
@@ -346,6 +370,7 @@ impl Lattice {
     /// refresh only the populations that actually cross a slab face.
     #[inline]
     pub fn set_distribution(&mut self, node: usize, i: usize, value: f64) {
+        self.settle_before_writing(node);
         let s = self.slot(node, i);
         self.f[s] = value;
     }
@@ -369,6 +394,7 @@ impl Lattice {
     /// Overwrite all 19 distributions at `node` (`values` in direction
     /// order; storage parity is handled internally).
     pub fn set_distributions(&mut self, node: usize, values: &[f64; Q]) {
+        self.settle_before_writing(node);
         if self.swap_parity && self.flags[node] == NodeClass::Fluid {
             for i in 0..Q {
                 self.f[node * Q + OPPOSITE[i]] = values[i];
@@ -426,43 +452,94 @@ impl Lattice {
         self.force[node * 3 + 2] += g[2];
     }
 
-    /// Total mass over all fluid nodes (order-insensitive, so parity does
-    /// not matter).
-    pub fn total_mass(&self) -> f64 {
-        (0..self.node_count())
-            .filter(|&n| self.flags[n] == NodeClass::Fluid)
-            .map(|n| self.f[n * Q..n * Q + Q].iter().sum::<f64>())
-            .sum()
+    /// Total mass and momentum (`Σ_i f_i c_i`) over all fluid nodes, plus
+    /// the fluid-node count: the explicit sweep behind the conservation
+    /// ledger when no collide has computed the totals (see
+    /// [`Self::request_totals`]). Each node's `(ρ, m)` comes from the one
+    /// moment kernel ([`moments`], parity-aware, so momentum keeps its
+    /// sign even when sampled between the halves of a fused step). Nodes
+    /// are added in node order into one partial per z-plane, and the
+    /// partials are folded in plane order ([`apr_kernels::totals`]): the
+    /// order every kernel's collide sums in. The totals are therefore
+    /// bit-identical across thread counts, storage parities and backends,
+    /// and equal to what a collide of this state returns; they equal a
+    /// flat `Σ_node Σ_i` only to rounding, so compare them against
+    /// tolerances, as the ledger does.
+    pub fn mass_momentum_totals(&self) -> MassMomentum {
+        let plane = self.nx * self.ny;
+        let mut partials = vec![[0.0; 4]; self.nz];
+        apr_exec::current().par_for_chunks_mut(&mut partials, 1, |z, partial| {
+            let mut acc = [0.0; 4];
+            for node in z * plane..(z + 1) * plane {
+                if self.flags[node] == NodeClass::Fluid {
+                    let (rho, m) = self.node_moments(node);
+                    accumulate(&mut acc, rho, m);
+                }
+            }
+            partial[0] = acc;
+        });
+        self.with_count(fold_planes(&partials))
     }
 
-    /// Total mass and momentum (`Σ_i f_i c_i`) over all fluid nodes, plus
-    /// the fluid-node count — the per-step sample the conservation ledger
-    /// accumulates. Each node's `(ρ, m)` comes from the one moment kernel
-    /// ([`moments`], parity-aware, so momentum keeps its sign even when
-    /// sampled between the halves of a fused step); nodes are added in
-    /// node order inside each 4096-node chunk and the chunks through the
-    /// exec pool's fixed-shape ordered tree
-    /// ([`apr_exec::ExecPool::par_sum4`]). The totals are therefore
-    /// bit-identical across thread counts and storage parities, and equal
-    /// to a flat `Σ_node Σ_i` only to rounding — compare them against
-    /// tolerances, as the ledger does.
-    pub fn mass_momentum_totals(&self) -> (f64, [f64; 3], usize) {
-        let n = self.node_count();
-        let [mass, mx, my, mz] = apr_exec::current().par_sum4(n, 4096, |_, range| {
-            let mut acc = [0.0f64; 4];
-            for node in range {
-                if self.flags[node] != NodeClass::Fluid {
-                    continue;
-                }
-                let (rho, m) = self.node_moments(node);
-                acc[0] += rho;
-                acc[1] += m[0];
-                acc[2] += m[1];
-                acc[3] += m[2];
-            }
-            acc
-        });
+    fn with_count(&self, [mass, mx, my, mz]: Totals) -> MassMomentum {
         (mass, [mx, my, mz], self.fluid_node_count())
+    }
+
+    /// Ask for the totals of the state as it is now, to be collected with
+    /// [`Self::take_totals`]. The next collide computes them from the
+    /// moments it reads anyway, so a per-step ledger costs no sweep of its
+    /// own. Any populations write before that collide
+    /// ([`Self::set_distribution`], [`Self::set_distributions`],
+    /// [`Self::restore_storage`], the `initialize_*` calls, and a flag
+    /// change that adds or removes a fluid node) first settles the request
+    /// with one sweep of the unwritten state. Between the halves of a step
+    /// the state is about to be streamed, so the request is settled at
+    /// once.
+    pub fn request_totals(&mut self) {
+        self.totals = TotalsRequest::Open;
+        if self.pending_stream {
+            self.settle_totals();
+        }
+    }
+
+    /// The totals of the state [`Self::request_totals`] was called on,
+    /// bit-identical to [`Self::mass_momentum_totals`] of that state: what
+    /// the next collide computed, or a sweep now when none has run. With
+    /// no request open it sweeps the current state.
+    pub fn take_totals(&mut self) -> MassMomentum {
+        match std::mem::replace(&mut self.totals, TotalsRequest::Idle) {
+            TotalsRequest::Settled(t) => t,
+            TotalsRequest::Open | TotalsRequest::Idle => self.mass_momentum_totals(),
+        }
+    }
+
+    /// Settle an open request with a sweep of the current state.
+    fn settle_totals(&mut self) {
+        if self.totals == TotalsRequest::Open {
+            self.totals = TotalsRequest::Settled(self.mass_momentum_totals());
+        }
+    }
+
+    /// Settle before writing `node`'s populations, when they count.
+    fn settle_before_writing(&mut self, node: usize) {
+        if self.flags[node] == NodeClass::Fluid {
+            self.settle_totals();
+        }
+    }
+
+    /// Settle before reflagging `node` as `class`, when that adds or
+    /// removes a fluid node.
+    fn settle_if_fluid_set_changes(&mut self, node: usize, class: NodeClass) {
+        if (self.flags[node] == NodeClass::Fluid) != (class == NodeClass::Fluid) {
+            self.settle_totals();
+        }
+    }
+
+    /// Keep a collide's totals when they answer an open request.
+    fn collided(&mut self, totals: Totals) {
+        if self.totals == TotalsRequest::Open {
+            self.totals = TotalsRequest::Settled(self.with_count(totals));
+        }
     }
 
     /// Steps taken since construction.
@@ -609,6 +686,7 @@ impl Lattice {
                 ));
             }
         }
+        self.settle_totals();
         self.f = f;
         self.pending_stream = pending_stream;
         self.swap_parity = swap_parity;
@@ -707,17 +785,21 @@ impl Lattice {
     }
 
     /// Run `op` against the active backend and a fresh view.
-    fn with_backend(&mut self, op: impl FnOnce(&mut dyn KernelBackend, &mut LatticeView)) {
+    fn with_backend<R>(
+        &mut self,
+        op: impl FnOnce(&mut dyn KernelBackend, &mut LatticeView) -> R,
+    ) -> R {
         self.ensure_backend();
         let mut backend = self.backend.take().expect("backend ensured");
-        {
+        let out = {
             let mut view = self.view();
             match &mut backend {
                 Backend::Reference(k) => op(k, &mut view),
                 Backend::Fused { kernel, .. } => op(kernel.as_mut(), &mut view),
             }
-        }
+        };
         self.backend = Some(backend);
+        out
     }
 
     /// Advance one time step: collide (fluid), stream (fluid, with halfway
@@ -731,7 +813,8 @@ impl Lattice {
         let fused = matches!(self.backend, Some(Backend::Fused { .. }));
         if fused && !self.pending_stream {
             let _span = apr_telemetry::span("lattice.step.fused");
-            self.with_backend(|k, view| k.step(view));
+            let totals = self.with_backend(|k, view| k.step(view));
+            self.collided(totals);
             self.apply_bc_nodes();
             self.steps_taken += 1;
         } else {
@@ -754,7 +837,8 @@ impl Lattice {
                     "advance(Collide) called twice without an intervening Stream"
                 );
                 let _span = apr_telemetry::span("lattice.collide");
-                self.with_backend(|k, view| k.collide(view));
+                let totals = self.with_backend(|k, view| k.collide(view));
+                self.collided(totals);
                 self.swap_parity = match &self.backend {
                     Some(Backend::Fused { kernel, .. }) => kernel.reversed_between_halves(),
                     _ => false,
@@ -841,5 +925,74 @@ impl Lattice {
             self.link_neighbor(node, i)
                 .filter(|&nb| self.flags[nb] == NodeClass::Fluid)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits((mass, momentum, nodes): MassMomentum) -> (u64, [u64; 3], usize) {
+        (mass.to_bits(), momentum.map(f64::to_bits), nodes)
+    }
+
+    /// A forced periodic box with a wall plane, stepped off equilibrium.
+    fn driven_box() -> Lattice {
+        let mut lat = Lattice::new(6, 5, 4, 0.8);
+        lat.periodic = [true, true, true];
+        lat.body_force = [1e-5, 0.0, 2e-6];
+        for node in 0..lat.nx * lat.ny {
+            lat.set_boundary(node, Boundary::Wall);
+        }
+        for _ in 0..3 {
+            lat.step();
+        }
+        lat
+    }
+
+    #[test]
+    fn a_write_after_the_request_settles_it_with_the_unwritten_state() {
+        let mut lat = driven_box();
+        let before = lat.mass_momentum_totals();
+        lat.request_totals();
+        let node = lat.idx(2, 2, 2);
+        let halved: [f64; Q] = std::array::from_fn(|i| 0.5 * lat.distribution(node, i));
+        lat.set_distributions(node, &halved);
+        let written = lat.mass_momentum_totals();
+        assert_ne!(bits(written), bits(before));
+        lat.step();
+        assert_eq!(bits(lat.take_totals()), bits(before));
+    }
+
+    #[test]
+    fn a_write_to_a_wall_node_leaves_the_request_to_the_collide() {
+        let mut lat = driven_box();
+        let before = lat.mass_momentum_totals();
+        lat.request_totals();
+        lat.set_distributions(0, &[0.0; Q]);
+        assert_eq!(lat.totals, TotalsRequest::Open);
+        lat.step();
+        assert_eq!(bits(lat.take_totals()), bits(before));
+    }
+
+    #[test]
+    fn a_request_between_the_halves_is_settled_before_the_stream() {
+        let mut lat = driven_box();
+        lat.advance(SubStep::Collide);
+        let mid = lat.mass_momentum_totals();
+        lat.request_totals();
+        lat.advance(SubStep::Stream);
+        lat.step();
+        assert_eq!(bits(lat.take_totals()), bits(mid));
+    }
+
+    #[test]
+    fn take_without_a_request_sweeps_the_current_state() {
+        let mut lat = driven_box();
+        lat.request_totals();
+        lat.step();
+        lat.take_totals();
+        lat.step();
+        assert_eq!(bits(lat.take_totals()), bits(lat.mass_momentum_totals()));
     }
 }

@@ -47,11 +47,11 @@ fn couette_profile_is_linear() {
 #[test]
 fn couette_mass_is_conserved() {
     let mut lat = couette_channel(6, 10, 6, 1.0, 0.03);
-    let m0 = lat.total_mass();
+    let m0 = lat.mass_momentum_totals().0;
     for _ in 0..500 {
         lat.step();
     }
-    let m1 = lat.total_mass();
+    let m1 = lat.mass_momentum_totals().0;
     assert!((m1 - m0).abs() / m0 < 1e-10, "mass drifted {m0} -> {m1}");
 }
 

@@ -33,7 +33,9 @@ use apr_ibm::DeltaKernel;
 use apr_lattice::{Lattice, SubStep};
 use apr_membrane::Membrane;
 use apr_mesh::Vec3;
-use apr_telemetry::ledger::{ConservationLedger, DomainTotals, LedgerConfig, WindowFlux};
+use apr_telemetry::ledger::{
+    ConservationLedger, DomainTotals, LedgerConfig, PendingRow, WindowFlux,
+};
 use apr_window::{
     move_window, remove_escaped_cells, repopulate, CtcTracker, HematocritController,
     InsertionContext, MoveTrigger, WindowAnatomy,
@@ -386,10 +388,15 @@ pub struct MultiWindowEngine {
     pub coarse: Lattice,
     /// The window units, in insertion order.
     pub windows: Vec<WindowUnit>,
-    /// Aggregated conservation ledger (bulk vs sum-of-windows totals).
+    /// Aggregated conservation ledger (bulk vs sum-of-windows totals). Its
+    /// newest row is the previous step's until
+    /// [`MultiWindowEngine::close_ledger`] is called.
     pub ledger: Option<ConservationLedger>,
     /// Steps between window-maintenance sweeps.
     pub maintenance_interval: u64,
+    /// The last step's ledger row, completed from the next step's collides
+    /// (see [`apr_telemetry::ledger`]).
+    pending_row: Option<PendingRow>,
     bulk_driver: Option<BulkDriver>,
     steps: u64,
     site_updates: u64,
@@ -403,6 +410,7 @@ impl MultiWindowEngine {
             windows: Vec::new(),
             ledger: None,
             maintenance_interval: 10,
+            pending_row: None,
             bulk_driver: None,
             steps: 0,
             site_updates: 0,
@@ -422,6 +430,8 @@ impl MultiWindowEngine {
     /// Add a window, enforcing disjoint ownership against every existing
     /// window and the coarse domain bounds. The returned index identifies
     /// the unit in [`MultiWindowEngine::windows`].
+    /// A pending ledger row is recorded first, over the windows it
+    /// describes.
     pub fn add_window(&mut self, unit: WindowUnit) -> Result<usize, ScenarioError> {
         let ext = unit.footprint_extent();
         let origin = unit.map.origin;
@@ -450,6 +460,7 @@ impl MultiWindowEngine {
                 });
             }
         }
+        self.close_ledger();
         self.windows.push(unit);
         Ok(self.windows.len() - 1)
     }
@@ -555,24 +566,15 @@ impl MultiWindowEngine {
         self.sample_ledger(flux);
     }
 
+    /// Record the previous step's row from the totals this step's first
+    /// collides computed, then open this step's row and ask every lattice
+    /// for the totals of the state it ends in (see
+    /// [`apr_telemetry::ledger`]). A step taken with the ledger out drops
+    /// the pending row.
     fn sample_ledger(&mut self, flux: WindowFlux) {
+        self.close_ledger();
         if self.ledger.is_none() {
             return;
-        }
-        let (mass, momentum, nodes) = self.coarse.mass_momentum_totals();
-        let bulk = DomainTotals {
-            mass,
-            momentum,
-            fluid_nodes: nodes as u64,
-        };
-        let mut window = DomainTotals::default();
-        for unit in &self.windows {
-            let (mass, momentum, nodes) = unit.fine.mass_momentum_totals();
-            window.mass += mass;
-            for (acc, m) in window.momentum.iter_mut().zip(momentum) {
-                *acc += m;
-            }
-            window.fluid_nodes += nodes as u64;
         }
         // Mean hematocrit over the controlled windows, if any.
         let hts: Vec<f64> = self
@@ -585,9 +587,36 @@ impl MultiWindowEngine {
         } else {
             Some(hts.iter().sum::<f64>() / hts.len() as f64)
         };
-        let steps = self.steps;
-        let ledger = self.ledger.as_mut().expect("checked above");
-        ledger.record(steps, bulk, window, hematocrit, flux);
+        self.pending_row = Some(PendingRow {
+            step: self.steps,
+            hematocrit,
+            flux,
+        });
+        self.coarse.request_totals();
+        for unit in &mut self.windows {
+            unit.fine.request_totals();
+        }
+    }
+
+    /// Record the last step's pending ledger row now, so the ledger covers
+    /// the current state: with one sweep of each lattice, unless a collide
+    /// has computed the totals already (as during the next step, which
+    /// calls this). Without an armed ledger the pending row is dropped.
+    pub fn close_ledger(&mut self) {
+        let (Some(row), Some(ledger)) = (self.pending_row.take(), self.ledger.as_mut()) else {
+            return;
+        };
+        let bulk = self.coarse.take_totals().into();
+        let mut window = DomainTotals::default();
+        for unit in &mut self.windows {
+            let (mass, momentum, nodes) = unit.fine.take_totals();
+            window.mass += mass;
+            for (acc, m) in window.momentum.iter_mut().zip(momentum) {
+                *acc += m;
+            }
+            window.fluid_nodes += nodes as u64;
+        }
+        ledger.record(row.step, bulk, window, row.hematocrit, row.flux);
     }
 }
 
@@ -750,6 +779,7 @@ impl SimSession for MultiWindowEngine {
         if let Some(ledger) = self.ledger.as_mut() {
             ledger.reset_continuity();
         }
+        self.pending_row = None;
         Ok(())
     }
 }
@@ -811,6 +841,8 @@ mod tests {
         eng.step_n(12);
         assert_eq!(SimSession::steps(&eng), 12);
         assert!(SimSession::site_updates(&eng) > 0);
+        eng.close_ledger();
+        assert_eq!(eng.ledger.as_ref().unwrap().samples(), 12);
         assert!(
             eng.ledger.as_ref().unwrap().breaches().is_empty(),
             "aggregated ledger must stay clean: {:?}",

@@ -109,6 +109,7 @@ fn window_crosses_generation_one_junction() {
     apr_exec::set_threads(1);
     let mut eng = spec.build_apr().unwrap();
     eng.step_n(STEPS);
+    eng.close_ledger();
 
     let ledger = eng.ledger.as_ref().expect("ledger armed");
     assert!(

@@ -50,6 +50,7 @@ fn twin_ctc_runs_with_disjoint_ownership() {
         "window footprints overlap after 40 steps: {spans:?}"
     );
 
+    eng.close_ledger();
     let ledger = eng.ledger.as_ref().expect("ledger armed");
     assert!(
         ledger.breaches().is_empty(),

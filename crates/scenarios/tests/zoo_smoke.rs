@@ -21,6 +21,9 @@ fn every_registered_scenario_builds_steps_and_conserves() {
             }
             eng.step_n(SMOKE_STEPS);
             assert_eq!(SimSession::steps(&eng), SMOKE_STEPS, "{}", spec.name);
+            // The last step's row is recorded by the next step; close it
+            // so the last step is audited too.
+            eng.close_ledger();
             let ledger = eng.ledger.as_ref().expect("build_apr arms the ledger");
             assert!(
                 ledger.breaches().is_empty(),
@@ -37,6 +40,7 @@ fn every_registered_scenario_builds_steps_and_conserves() {
             }
             eng.step_n(SMOKE_STEPS);
             assert_eq!(SimSession::steps(&eng), SMOKE_STEPS, "{}", spec.name);
+            eng.close_ledger();
             let ledger = eng.ledger.as_ref().expect("build_multi arms the ledger");
             assert!(
                 ledger.breaches().is_empty(),

@@ -7,12 +7,24 @@
 //! restricts the fine solution back onto the coarse grid, and a bug in
 //! either silently corrupts the physics while every node stays finite —
 //! invisible to the NaN/Mach sentinel. The ledger closes that gap: the
-//! engine feeds it per-step totals (computed with the deterministic
-//! ordered reduction in `apr-exec`, so the ledger never perturbs
-//! bit-identity), it tracks step-over-step drift, and any drift beyond
-//! the configured tolerances is *latched* as a [`DriftBreach`] until the
-//! guardian inspects (and converts it into a
+//! engine feeds it per-step totals, it tracks step-over-step drift, and
+//! any drift beyond the configured tolerances is *latched* as a
+//! [`DriftBreach`] until the guardian inspects (and converts it into a
 //! `HealthIssue::ConservationDrift`) or a rollback resets continuity.
+//!
+//! The totals of the state step `t` ends in are what step `t + 1`'s first
+//! collides read anyway, so the engine does not sweep the lattices for
+//! them. At the end of step `t` it keeps a [`PendingRow`] (the step's
+//! hematocrit and flux) and asks each lattice for its totals
+//! (`Lattice::request_totals`); during step `t + 1` the collides compute
+//! them, summed in a fixed per-plane order, so they are bit-identical to
+//! an explicit sweep of that state and never perturb the physics; at the
+//! end of step `t + 1` the engine records row `t`. A row therefore lands
+//! one step late. `close_ledger` on the engines records the pending row at
+//! once with one sweep; the guardian calls it before every inspection, so
+//! a healthy verdict covers the current state. A pending row belongs to
+//! one step: a rollback, a restore, or a step taken with the ledger taken
+//! out drops it.
 //!
 //! Window moves are accounted, not flagged: a step whose
 //! [`WindowFlux::moved`] is set legitimately changes the window totals
@@ -20,7 +32,7 @@
 //! window continuity instead of reporting drift.
 
 /// Mass/momentum totals over one domain (bulk lattice or fine window),
-/// produced by `Lattice::mass_momentum_totals`.
+/// produced by `Lattice::take_totals` or `Lattice::mass_momentum_totals`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DomainTotals {
     /// Total mass: Σ over fluid nodes of Σ_i f_i.
@@ -29,6 +41,29 @@ pub struct DomainTotals {
     pub momentum: [f64; 3],
     /// Fluid nodes included in the sums.
     pub fluid_nodes: u64,
+}
+
+impl From<(f64, [f64; 3], usize)> for DomainTotals {
+    /// From a lattice's `(mass, momentum, fluid nodes)`.
+    fn from((mass, momentum, fluid_nodes): (f64, [f64; 3], usize)) -> Self {
+        Self {
+            mass,
+            momentum,
+            fluid_nodes: fluid_nodes as u64,
+        }
+    }
+}
+
+/// A step's row waiting for its totals (see the module docs): what the
+/// engine captured at the end of the step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PendingRow {
+    /// The step the row describes.
+    pub step: u64,
+    /// Window hematocrit at the end of the step.
+    pub hematocrit: Option<f64>,
+    /// The step's fill/capture flux.
+    pub flux: WindowFlux,
 }
 
 /// Window fill/capture flux counts for one step (all zero on steps

@@ -216,6 +216,48 @@ fn split_halves_match_fused_full_steps() {
     apr_suite::exec::set_threads(1);
 }
 
+/// Bits of a lattice's `(mass, momentum, fluid nodes)`.
+fn totals_bits((mass, momentum, nodes): (f64, [f64; 3], usize)) -> (u64, [u64; 3], usize) {
+    (mass.to_bits(), momentum.map(f64::to_bits), nodes)
+}
+
+/// The totals a collide computes for the ledger are the explicit sweep's,
+/// bit for bit: per step, `take_totals` after a requested step equals
+/// `mass_momentum_totals` of the state the step started from — on every
+/// zoo entry, under both kernels, through the fused step and the split
+/// halves, at every lane count.
+#[test]
+fn collide_totals_equal_the_sweep_of_the_state_it_started_from() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    for threads in [1usize, 2, 4] {
+        apr_suite::exec::set_threads(threads);
+        for (name, lat) in scenarios() {
+            for kind in [KernelKind::FusedSwap, KernelKind::Reference] {
+                for split in [false, true] {
+                    let mut lat = lat.clone();
+                    lat.set_kernel(Some(kind));
+                    for step in 0..5 {
+                        let want = lat.mass_momentum_totals();
+                        lat.request_totals();
+                        if split {
+                            lat.advance(SubStep::Collide);
+                            lat.advance(SubStep::Stream);
+                        } else {
+                            lat.step();
+                        }
+                        assert_eq!(
+                            totals_bits(lat.take_totals()),
+                            totals_bits(want),
+                            "{name}, {kind:?}, split {split}, {threads} lanes, step {step}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    apr_suite::exec::set_threads(1);
+}
+
 /// Mid-step accessors must transparently translate the fused kernel's
 /// reversed storage: logical reads between the halves agree bit-for-bit
 /// with the reference kernel's post-collision state.
