@@ -187,31 +187,6 @@ impl CellPool {
         });
     }
 
-    /// Map every live cell through `f` and sum the results: per-chunk
-    /// partial sums run in slot order, combined in a fixed-shape ordered
-    /// reduction on the caller — deterministic for any thread count.
-    pub fn par_map_sum(&mut self, f: impl Fn(&mut Cell) -> f64 + Sync) -> f64 {
-        let view = apr_exec::UnsafeSlice::new(&mut self.slots);
-        apr_exec::current()
-            .par_map_reduce(
-                view.len(),
-                SLOT_CHUNK,
-                |_, range| {
-                    // SAFETY: chunk ranges are disjoint.
-                    let part = unsafe { view.slice_mut(range.start, range.len()) };
-                    let mut acc = 0.0;
-                    for slot in part {
-                        if let Some(cell) = slot.as_mut() {
-                            acc += f(cell);
-                        }
-                    }
-                    acc
-                },
-                |a, b| a + b,
-            )
-            .unwrap_or(0.0)
-    }
-
     /// Iterate over `(slot, cell)` pairs of live cells.
     pub fn iter_slots(&self) -> impl Iterator<Item = (SlotIndex, &Cell)> {
         self.slots

@@ -12,13 +12,13 @@ use apr_lattice::Lattice;
 use apr_mesh::Vec3;
 
 /// Zero all cell force buffers and accumulate membrane elastic forces,
-/// in parallel across cells. Returns total elastic energy (summed in
-/// deterministic slot-chunk order, thread-count independent).
-pub fn compute_membrane_forces(pool: &mut CellPool) -> f64 {
-    pool.par_map_sum(|cell| {
+/// in parallel across cells. Force only: the step never reads the
+/// membrane energies (`Membrane::energy` evaluates them).
+pub fn compute_membrane_forces(pool: &mut CellPool) {
+    pool.par_for_each_mut(|cell| {
         cell.clear_forces();
-        cell.compute_membrane_forces().total()
-    })
+        cell.compute_membrane_forces();
+    });
 }
 
 /// Rebuild the spatial grid and add intercellular contact forces, summed
@@ -198,8 +198,9 @@ mod tests {
     #[test]
     fn undeformed_cell_exerts_negligible_force() {
         let mut pool = pool_with_sphere(3.0, Vec3::splat(8.0));
-        let energy = compute_membrane_forces(&mut pool);
-        assert!(energy.abs() < 1e-12);
+        compute_membrane_forces(&mut pool);
+        let cell = pool.iter().next().unwrap();
+        assert!(cell.membrane.energy(&cell.vertices).total().abs() < 1e-12);
         let mut lat = Lattice::new(16, 16, 16, 1.0);
         lat.periodic = [true, true, true];
         spread_cell_forces(&mut lat, &pool, DeltaKernel::Cosine4, |v| v, 1.0);

@@ -159,6 +159,13 @@ impl ByteWriter {
     /// Append a slice of f64s, length-prefixed.
     pub fn f64s(&mut self, vs: &[f64]) {
         self.usize(vs.len());
+        self.f64_run(vs);
+    }
+
+    /// Append f64s with no length prefix: one run of a vector whose
+    /// prefix was written ahead of its runs (a length-prefixed vector
+    /// written in pieces reads back with [`ByteReader::f64s`]).
+    pub fn f64_run(&mut self, vs: &[f64]) {
         #[cfg(target_endian = "little")]
         {
             // The wire format is little-endian, so on LE hosts the
@@ -195,6 +202,26 @@ impl ByteWriter {
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.bytes(s.as_bytes());
+    }
+}
+
+/// Decode little-endian f64 wire bytes into `out` (`raw.len() == 8 ·
+/// out.len()`).
+pub fn decode_f64s(raw: &[u8], out: &mut [f64]) {
+    assert_eq!(
+        raw.len(),
+        out.len() * 8,
+        "f64 byte run does not fit its output"
+    );
+    #[cfg(target_endian = "little")]
+    // SAFETY: lengths checked above; on LE hosts the wire bytes are the
+    // in-memory layout, so one copy replaces per-element decoding.
+    unsafe {
+        std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), raw.len());
+    }
+    #[cfg(not(target_endian = "little"))]
+    for (v, c) in out.iter_mut().zip(raw.chunks_exact(8)) {
+        *v = f64::from_le_bytes(c.try_into().unwrap());
     }
 }
 
@@ -268,23 +295,19 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed f64 vector.
     pub fn f64s(&mut self) -> Result<Vec<f64>, GuardError> {
+        let raw = self.f64_bytes()?;
+        let mut out = vec![0.0f64; raw.len() / 8];
+        decode_f64s(raw, &mut out);
+        Ok(out)
+    }
+
+    /// Borrow a length-prefixed f64 vector as its wire bytes, without
+    /// decoding or allocating: the length is validated against the bytes
+    /// that remain. Decode pieces of it with [`decode_f64s`].
+    pub fn f64_bytes(&mut self) -> Result<&'a [u8], GuardError> {
         let n = self.usize()?;
         self.checked_len(n, 8)?;
-        let raw = self.bytes(n * 8)?;
-        #[cfg(target_endian = "little")]
-        {
-            // Mirror of the writer's bulk path: LE hosts can memcpy the
-            // wire bytes straight into the f64 buffer.
-            let mut out = vec![0.0f64; n];
-            unsafe {
-                std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * 8);
-            }
-            Ok(out)
-        }
-        #[cfg(not(target_endian = "little"))]
-        raw.chunks_exact(8)
-            .map(|c| Ok(f64::from_le_bytes(c.try_into().unwrap())))
-            .collect()
+        self.bytes(n * 8)
     }
 
     /// Read a [`Vec3`].

@@ -30,7 +30,7 @@ pub mod state;
 pub mod store;
 
 pub use checkpoint::{read_file, write_atomic, CheckpointReader, CheckpointWriter, FORMAT_VERSION};
-pub use codec::{crc32, splitmix64, ByteReader, ByteWriter};
+pub use codec::{crc32, decode_f64s, splitmix64, ByteReader, ByteWriter};
 pub use error::GuardError;
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use health::{

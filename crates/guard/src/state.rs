@@ -7,7 +7,8 @@
 //! resume is captured:
 //!
 //! * Lattice: dimensions, periodicity, τ (global and per-node field),
-//!   body force, step counter, distributions, macroscopic fields, forces.
+//!   body force, step counter, distributions (the dense image: every node,
+//!   whatever the lattice stores), macroscopic fields, forces.
 //!   Flags/geometry are *not* stored — the restart rebuilds the domain
 //!   from its generator or geometry callback, then loads state (the same
 //!   contract as the v1 lattice checkpoint).
@@ -19,7 +20,7 @@
 //! Membranes are shared models, not per-cell state, so cells are restored
 //! against membranes supplied by a [`MembraneProvider`].
 
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{decode_f64s, ByteReader, ByteWriter};
 use crate::error::GuardError;
 use apr_cells::{Cell, CellKind, CellPool};
 use apr_lattice::{Lattice, Q};
@@ -50,8 +51,11 @@ pub fn write_lattice(lat: &Lattice) -> Vec<u8> {
     // Raw slot-order storage (not per-direction accessors): the engine may
     // checkpoint between the halves of a step, when the fused kernel holds
     // fluid nodes direction-reversed. The phase flags written at the end
-    // let the restore validate it lands on a compatible kernel.
-    w.f64s(lat.storage_f());
+    // let the restore validate it lands on a compatible kernel. The image
+    // is dense — every node, unstored ones at the rest state they read —
+    // and streamed from the compact storage run by run.
+    w.usize(nodes * Q);
+    lat.storage_image(|run| w.f64_run(run));
     w.f64s(&lat.rho);
     w.f64s(&lat.vel);
     w.f64s(&lat.force);
@@ -86,11 +90,13 @@ pub fn read_lattice(lat: &mut Lattice, r: &mut ByteReader<'_>) -> Result<(), Gua
     }
     lat.set_steps_taken(r.u64()?);
     let n = lat.node_count();
-    let f = r.f64s()?;
-    if f.len() != n * Q {
+    // Borrowed, not decoded: the restore reads the image straight into
+    // the lattice's compact storage, so no dense array is allocated.
+    let f = r.f64_bytes()?;
+    if f.len() != n * Q * 8 {
         return Err(GuardError::Format(format!(
             "distribution count {} != {}",
-            f.len(),
+            f.len() / 8,
             n * Q
         )));
     }
@@ -104,7 +110,10 @@ pub fn read_lattice(lat: &mut Lattice, r: &mut ByteReader<'_>) -> Result<(), Gua
     });
     let pending = r.bool()?;
     let parity = r.bool()?;
-    lat.restore_storage(f, pending, parity)
+    let image = |nodes: std::ops::Range<usize>, out: &mut [f64]| {
+        decode_f64s(&f[nodes.start * Q * 8..nodes.end * Q * 8], out)
+    };
+    lat.restore_storage(image, pending, parity)
         .map_err(GuardError::Format)?;
     Ok(())
 }

@@ -10,8 +10,8 @@
 //! ## Op encoding
 //!
 //! One `u32` per `(node, direction)` link, for directions `1..19`:
-//! a 3-bit tag in the top bits and a 29-bit payload (partner node index or
-//! moving-coefficient index) below. For a fluid node `n` and direction `i`,
+//! a 3-bit tag in the top bits and a 29-bit payload (partner storage slot,
+//! see [`crate::layout`], or moving-coefficient index) below. For a fluid node `n` and direction `i`,
 //! pull-streaming wants slot `(n, i)` to end up holding the post-collision
 //! population `f*_i(m)` of the source node `m = n − c_i`. After the fused
 //! kernel's collision phase stores each node's populations
@@ -43,8 +43,8 @@
 //!
 //! Interior nodes whose 18 neighbours are all fluid — the overwhelming bulk
 //! of a dense box — are classified [`NodeKind::Fast`]: their ops are nine
-//! swaps at the constant flat offsets in [`AdjacencyTable::fwd_offset`],
-//! so they have no row. Only [`NodeKind::Slow`] nodes (boundary or
+//! swaps at slot offsets that are constant along a row
+//! ([`AdjacencyTable::fast_offsets`]), so they have no row. Only [`NodeKind::Slow`] nodes (boundary or
 //! periodic-wrap fluid) keep a row of [`ROW`] op words, stored in node
 //! order; a sweep finds its first row through
 //! [`AdjacencyTable::first_row`] (a per-plane count of earlier `Slow`
@@ -53,6 +53,7 @@
 //! byte per node.
 
 use crate::d3q19::{C, OPPOSITE, Q, W};
+use crate::layout::RowLayout;
 use crate::view::NodeClass;
 
 /// The nine "forward" directions: `c_i` lexicographically positive in
@@ -115,22 +116,29 @@ pub fn neighbor_index(
     z: usize,
     i: usize,
 ) -> Option<usize> {
-    let d = [dims[0] as i64, dims[1] as i64, dims[2] as i64];
-    let mut p = [
-        x as i64 + C[i][0] as i64,
-        y as i64 + C[i][1] as i64,
-        z as i64 + C[i][2] as i64,
-    ];
+    neighbor_coords(dims, periodic, [x, y, z], i).map(|[x, y, z]| x + dims[0] * (y + dims[1] * z))
+}
+
+/// The coordinates [`neighbor_index`] flattens.
+#[inline]
+pub fn neighbor_coords(
+    dims: [usize; 3],
+    periodic: [bool; 3],
+    at: [usize; 3],
+    i: usize,
+) -> Option<[usize; 3]> {
+    let mut p = [0usize; 3];
     for a in 0..3 {
-        if p[a] < 0 || p[a] >= d[a] {
-            if periodic[a] {
-                p[a] = (p[a] + d[a]) % d[a];
-            } else {
-                return None;
-            }
-        }
+        let (d, c) = (dims[a] as i64, at[a] as i64 + C[i][a] as i64);
+        p[a] = if (0..d).contains(&c) {
+            c as usize
+        } else if periodic[a] {
+            ((c + d) % d) as usize
+        } else {
+            return None;
+        };
     }
-    Some((p[0] + d[0] * (p[1] + d[1] * p[2])) as usize)
+    Some(p)
 }
 
 /// Op words per `Slow` row: one per moving direction `1..19` (the rest
@@ -140,7 +148,9 @@ pub const ROW: usize = Q - 1;
 /// The compiled streaming stencil of one lattice geometry.
 ///
 /// Holds no per-(node, direction) data: a `Fast` node's ops follow from
-/// [`Self::fwd_offset`], and only `Slow` nodes keep a row ([`Self::row`]).
+/// [`Self::fast_offsets`], and only `Slow` nodes keep a row ([`Self::row`]).
+/// Swap and load payloads are storage slots under the [`RowLayout`] the
+/// table was built for.
 #[derive(Debug, Clone)]
 pub struct AdjacencyTable {
     /// The op rows of the `Slow` nodes in node order, [`ROW`] words each:
@@ -153,9 +163,9 @@ pub struct AdjacencyTable {
     /// evaluate `6 w_i · ρ · (c·u)` in the reference kernel's exact
     /// association order and stay bit-identical.
     pub moving_coeff: Vec<[f64; 2]>,
-    /// Flat-index offsets of the nine [`FWD`] pull sources (`m = n − off`),
-    /// valid for interior nodes. All strictly positive.
-    pub fwd_offset: [usize; 9],
+    /// Row distance `c_y + ny·c_z` to each of the nine [`FWD`] pull
+    /// sources of a node.
+    fwd_rows: [usize; 9],
     /// Fluid-node count per z-plane — the cost model for guided chunking:
     /// a sparse tube plane costs what its fluid nodes cost, not what its
     /// bounding box suggests.
@@ -170,7 +180,8 @@ pub struct AdjacencyTable {
 impl AdjacencyTable {
     /// Compile the streaming stencil for a lattice geometry.
     ///
-    /// `moving_walls` lists `(node, wall velocity)` sorted by node index.
+    /// `moving_walls` lists `(node, wall velocity)` sorted by node index;
+    /// `layout` must store every stateful node.
     ///
     /// # Panics
     /// Panics if the node count exceeds the 29-bit payload range.
@@ -181,6 +192,7 @@ impl AdjacencyTable {
         periodic: [bool; 3],
         flags: &[NodeClass],
         moving_walls: &[(usize, [f64; 3])],
+        layout: &RowLayout,
     ) -> Self {
         let n = nx * ny * nz;
         assert_eq!(flags.len(), n);
@@ -195,18 +207,15 @@ impl AdjacencyTable {
         let mut moving_coeff = Vec::new();
         let mut fluid_per_plane = vec![0u32; nz];
         let mut slow_before_plane = Vec::with_capacity(nz);
-        let mut fwd_offset = [0usize; 9];
-        for (k, &i) in FWD.iter().enumerate() {
-            let off = C[i][0] as i64 + nx as i64 * (C[i][1] as i64 + ny as i64 * C[i][2] as i64);
-            // Only Fast (interior, dims ≥ 3) nodes ever use these offsets;
-            // degenerate dims can make them non-positive, but then no node
-            // qualifies as Fast.
-            debug_assert!(
-                off > 0 || nx < 3 || ny < 3 || nz < 3,
-                "forward offset for direction {i}"
-            );
-            fwd_offset[k] = off.max(0) as usize;
-        }
+        // Only Fast (interior, dims ≥ 3) nodes ever use these distances;
+        // degenerate dims can make them negative, but then no node
+        // qualifies as Fast.
+        let fwd_rows = FWD.map(|i| (C[i][1] as isize + ny as isize * C[i][2] as isize) as usize);
+        let slot = |m: usize| -> u32 {
+            layout
+                .slot(m)
+                .expect("the storage layout holds every stateful node") as u32
+        };
         let moving = |node: usize| -> Option<[f64; 3]> {
             moving_walls
                 .binary_search_by_key(&node, |e| e.0)
@@ -237,13 +246,13 @@ impl AdjacencyTable {
                             Some(m) => match flags[m] {
                                 NodeClass::Fluid => {
                                     if IS_FWD[i] {
-                                        (TAG_SWAP << TAG_SHIFT) | m as u32
+                                        (TAG_SWAP << TAG_SHIFT) | slot(m)
                                     } else {
                                         TAG_DONE
                                     }
                                 }
                                 NodeClass::Velocity | NodeClass::Pressure => {
-                                    (TAG_LOAD << TAG_SHIFT) | m as u32
+                                    (TAG_LOAD << TAG_SHIFT) | slot(m)
                                 }
                                 NodeClass::Wall => match moving(m) {
                                     Some(uw) => {
@@ -276,7 +285,7 @@ impl AdjacencyTable {
             rows,
             kind,
             moving_coeff,
-            fwd_offset,
+            fwd_rows,
             fluid_per_plane,
             slow_before_plane,
             plane: (nx * ny).max(1),
@@ -293,6 +302,24 @@ impl AdjacencyTable {
     #[inline]
     pub fn slow_count(&self) -> usize {
         self.rows.len() / ROW
+    }
+
+    /// Slot distances from a `Fast` node of row `r` to its nine [`FWD`]
+    /// pull sources under `layout`: source `k` sits at `slot − off[k]`
+    /// (wrapping). Constant along a row, so a sweep computes them once per
+    /// row. Rows that hold no `Fast` node get values nothing reads.
+    #[inline]
+    pub fn fast_offsets(&self, layout: &RowLayout, r: usize) -> [usize; 9] {
+        let origin = layout.origin(r);
+        std::array::from_fn(|k| {
+            let src = r.wrapping_sub(self.fwd_rows[k]);
+            if src < layout.rows() {
+                let dx = C[FWD[k]][0] as isize as usize;
+                origin.wrapping_sub(layout.origin(src)).wrapping_add(dx)
+            } else {
+                0
+            }
+        })
     }
 
     /// Row index of the first `Slow` node at or after `node`: where a sweep
@@ -324,7 +351,6 @@ impl AdjacencyTable {
             + self.moving_coeff.capacity() * std::mem::size_of::<[f64; 2]>()
             + (self.fluid_per_plane.len() + self.slow_before_plane.capacity())
                 * std::mem::size_of::<u32>()
-            + std::mem::size_of::<[usize; 9]>()
     }
 }
 
@@ -336,16 +362,67 @@ mod tests {
         vec![NodeClass::Fluid; n]
     }
 
-    /// Direction `i`'s op for fluid `node`: its row word if `Slow`, the op
-    /// [`AdjacencyTable::fwd_offset`] implies if `Fast` (the row-free path).
-    fn op(t: &AdjacencyTable, node: usize, i: usize) -> u32 {
-        match t.kind[node] {
-            NodeKind::Slow => t.row(t.first_row(node))[i - 1],
-            NodeKind::Fast => match FWD.iter().position(|&d| d == i) {
-                Some(k) => (TAG_SWAP << TAG_SHIFT) | (node - t.fwd_offset[k]) as u32,
-                None => TAG_DONE,
-            },
-            NodeKind::Skip => panic!("node {node} has no ops"),
+    /// A table over the stateful storage layout of `flags`, with ops whose
+    /// payloads read back as node indices ([`Table::op`]).
+    struct Table {
+        t: AdjacencyTable,
+        layout: RowLayout,
+        /// Node index of each slot.
+        nodes: Vec<usize>,
+        nx: usize,
+    }
+
+    impl std::ops::Deref for Table {
+        type Target = AdjacencyTable;
+        fn deref(&self) -> &AdjacencyTable {
+            &self.t
+        }
+    }
+
+    fn build(
+        dims: [usize; 3],
+        periodic: [bool; 3],
+        flags: &[NodeClass],
+        moving: &[(usize, [f64; 3])],
+    ) -> Table {
+        let [nx, ny, nz] = dims;
+        let layout = RowLayout::stateful(nx, ny, nz, flags);
+        let t = AdjacencyTable::build(nx, ny, nz, periodic, flags, moving, &layout);
+        let nodes = (0..flags.len())
+            .filter(|&n| layout.slot(n).is_some())
+            .collect();
+        Table {
+            t,
+            layout,
+            nodes,
+            nx,
+        }
+    }
+
+    impl Table {
+        /// Direction `i`'s op for fluid `node`: its row word if `Slow`,
+        /// the op [`AdjacencyTable::fast_offsets`] implies if `Fast` (the
+        /// row-free path). Swap and load payloads are translated from
+        /// slots back to node indices.
+        fn op(&self, node: usize, i: usize) -> u32 {
+            let slot = self.layout.slot(node).expect("fluid nodes are stored");
+            let op = match self.kind[node] {
+                NodeKind::Slow => self.row(self.first_row(node))[i - 1],
+                NodeKind::Fast => match FWD.iter().position(|&d| d == i) {
+                    Some(k) => {
+                        let off = self.fast_offsets(&self.layout, node / self.nx)[k];
+                        (TAG_SWAP << TAG_SHIFT) | slot.wrapping_sub(off) as u32
+                    }
+                    None => TAG_DONE,
+                },
+                NodeKind::Skip => panic!("node {node} has no ops"),
+            };
+            match op >> TAG_SHIFT {
+                TAG_SWAP | TAG_LOAD => {
+                    (op & !PAYLOAD_MASK) | self.nodes[(op & PAYLOAD_MASK) as usize] as u32
+                }
+                _ => op,
+            }
         }
     }
 
@@ -392,12 +469,12 @@ mod tests {
     fn periodic_box_is_all_swaps() {
         let (nx, ny, nz) = (4, 4, 4);
         let flags = all_fluid(nx * ny * nz);
-        let t = AdjacencyTable::build(nx, ny, nz, [true; 3], &flags, &[]);
+        let t = build([nx, ny, nz], [true; 3], &flags, &[]);
         let mut swaps = 0;
         for node in 0..nx * ny * nz {
             assert_ne!(t.kind[node], NodeKind::Skip);
             for i in 1..Q {
-                let op = op(&t, node, i);
+                let op = t.op(node, i);
                 match op >> TAG_SHIFT {
                     TAG_SWAP => {
                         assert!(IS_FWD[i]);
@@ -405,7 +482,7 @@ mod tests {
                         let m = (op & PAYLOAD_MASK) as usize;
                         // The partner's mirrored slot must be DONE (the
                         // exchange is owned here, not there).
-                        assert_eq!(self::op(&t, m, OPPOSITE[i]), TAG_DONE);
+                        assert_eq!(t.op(m, OPPOSITE[i]), TAG_DONE);
                     }
                     TAG_DONE => assert!(!IS_FWD[i]),
                     tag => panic!("unexpected tag {tag} in periodic box"),
@@ -432,7 +509,7 @@ mod tests {
                 *f = NodeClass::Wall;
             }
         }
-        let t = AdjacencyTable::build(nx, ny, nz, periodic, &flags, &[]);
+        let t = build([nx, ny, nz], periodic, &flags, &[]);
         let (mut fast, mut slow) = (0, 0);
         for node in 0..nx * ny * nz {
             let (x, y, z) = (node % nx, (node / nx) % ny, node / (nx * ny));
@@ -444,7 +521,7 @@ mod tests {
             }
             // Both paths name the true pull source as the swap partner.
             for i in FWD {
-                let op = op(&t, node, i);
+                let op = t.op(node, i);
                 if src(i).is_some_and(|m| flags[m] == NodeClass::Fluid) {
                     assert_eq!(op >> TAG_SHIFT, TAG_SWAP, "node {node} dir {i}");
                     assert_eq!(Some((op & PAYLOAD_MASK) as usize), src(i));
@@ -465,7 +542,7 @@ mod tests {
     #[test]
     fn first_row_counts_the_slow_nodes_before_any_start() {
         let flags = walled_tube(9, 8, 5, 3.0);
-        let t = AdjacencyTable::build(9, 8, 5, [false, false, true], &flags, &[]);
+        let t = build([9, 8, 5], [false, false, true], &flags, &[]);
         let mut before = 0;
         for node in 0..=flags.len() {
             assert_eq!(t.first_row(node), before, "start {node}");
@@ -480,9 +557,9 @@ mod tests {
     fn degenerate_periodic_axis_self_swaps() {
         // A 1-node-wide periodic axis wraps a node onto itself; the swap
         // must still be emitted exactly once (slots i and opp(i) differ).
-        let t = AdjacencyTable::build(1, 1, 4, [true; 3], &all_fluid(4), &[]);
+        let t = build([1, 1, 4], [true; 3], &all_fluid(4), &[]);
         for node in 0..4 {
-            let op = op(&t, node, 1); // +x wraps to self
+            let op = t.op(node, 1); // +x wraps to self
             assert_eq!(op >> TAG_SHIFT, TAG_SWAP);
             assert_eq!((op & PAYLOAD_MASK) as usize, node);
         }
@@ -492,33 +569,33 @@ mod tests {
     fn walls_and_bcs_get_the_right_tags() {
         // 3×1×1 closed tube: wall | fluid | velocity-inlet.
         let flags = [NodeClass::Wall, NodeClass::Fluid, NodeClass::Velocity];
-        let t = AdjacencyTable::build(3, 1, 1, [false; 3], &flags, &[]);
+        let t = build([3, 1, 1], [false; 3], &flags, &[]);
         assert_eq!(t.kind[0], NodeKind::Skip);
         assert_eq!(t.kind[2], NodeKind::Skip);
         assert_eq!(t.kind[1], NodeKind::Slow);
         assert_eq!(t.slow_count(), 1);
         // Direction +x pulls from node 0 (wall): bounce.
-        assert_eq!(op(&t, 1, 1) >> TAG_SHIFT, TAG_BOUNCE);
+        assert_eq!(t.op(1, 1) >> TAG_SHIFT, TAG_BOUNCE);
         // Direction −x pulls from node 2 (velocity): load.
-        let load = op(&t, 1, 2);
+        let load = t.op(1, 2);
         assert_eq!(load >> TAG_SHIFT, TAG_LOAD);
         assert_eq!((load & PAYLOAD_MASK) as usize, 2);
         // Off-axis directions leave the (non-periodic) domain: bounce.
-        assert_eq!(op(&t, 1, 3) >> TAG_SHIFT, TAG_BOUNCE);
+        assert_eq!(t.op(1, 3) >> TAG_SHIFT, TAG_BOUNCE);
     }
 
     #[test]
     fn moving_wall_coefficients_match_reference_formula() {
         let uw = [0.05, -0.02, 0.0];
         let flags = [NodeClass::Wall, NodeClass::Fluid, NodeClass::Wall];
-        let t = AdjacencyTable::build(3, 1, 1, [false; 3], &flags, &[(0, uw)]);
-        let moving = op(&t, 1, 1); // +x pulls from moving node 0
+        let t = build([3, 1, 1], [false; 3], &flags, &[(0, uw)]);
+        let moving = t.op(1, 1); // +x pulls from moving node 0
         assert_eq!(moving >> TAG_SHIFT, TAG_MOVING);
         let [six_w, cu] = t.moving_coeff[(moving & PAYLOAD_MASK) as usize];
         let expect_cu = C[1][0] as f64 * uw[0] + C[1][1] as f64 * uw[1];
         assert_eq!((six_w, cu), (6.0 * W[1], expect_cu));
         // The stationary wall on the other side stays a plain bounce.
-        assert_eq!(op(&t, 1, 2) >> TAG_SHIFT, TAG_BOUNCE);
+        assert_eq!(t.op(1, 2) >> TAG_SHIFT, TAG_BOUNCE);
     }
 
     #[test]
@@ -530,9 +607,9 @@ mod tests {
             NodeClass::Fluid,
             NodeClass::Fluid,
         ];
-        let t = AdjacencyTable::build(2, 1, 2, [true; 3], &flags, &[]);
+        let t = build([2, 1, 2], [true; 3], &flags, &[]);
         assert_eq!(t.fluid_per_plane, vec![1, 2]);
-        let full = AdjacencyTable::build(4, 4, 4, [true; 3], &all_fluid(64), &[]);
+        let full = build([4, 4, 4], [true; 3], &all_fluid(64), &[]);
         assert_eq!(full.fluid_per_plane, vec![16; 4]);
     }
 
@@ -542,10 +619,8 @@ mod tests {
         // at most 76 B per Slow node plus 4 B per node.
         let (nx, ny, nz) = (32, 32, 32);
         let n = nx * ny * nz;
-        let t = AdjacencyTable::build(
-            nx,
-            ny,
-            nz,
+        let t = build(
+            [nx, ny, nz],
             [false, false, true],
             &walled_tube(nx, ny, nz, 12.0),
             &[],

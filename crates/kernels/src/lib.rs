@@ -6,6 +6,8 @@
 //!
 //! - [`d3q19`]: the D3Q19 velocity set and BGK/Guo closed forms (moved
 //!   down from `apr-lattice`, which re-exports them).
+//! - [`layout`]: the row-compact storage every kernel indexes: each
+//!   `(y, z)` row stores only the x-range of its stateful nodes.
 //! - [`adjacency`]: streaming stencils compiled at geometry-freeze time —
 //!   constant offsets for interior nodes, op rows for boundary nodes only.
 //! - [`ReferenceKernel`]: the solver's original two-pass collide + pull
@@ -27,6 +29,7 @@
 pub mod adjacency;
 pub mod d3q19;
 mod fused;
+pub mod layout;
 mod reference;
 pub mod runtime;
 pub mod totals;
@@ -34,6 +37,7 @@ mod view;
 
 pub use adjacency::{neighbor_index, AdjacencyTable, NodeKind};
 pub use fused::FusedSwapKernel;
+pub use layout::RowLayout;
 pub use reference::ReferenceKernel;
 pub use runtime::{RuntimeConfig, RuntimeConfigError};
 pub use totals::Totals;

@@ -11,6 +11,7 @@
 //! one z-slab per chunk (the chunk layout never affects the numbers — every
 //! write is slot-local).
 
+use crate::adjacency::neighbor_coords;
 use crate::d3q19::{equilibrium_all, guo_force_all, moments, C, OPPOSITE, Q, W};
 use crate::totals::{accumulate, fold_planes, Totals};
 use crate::view::{stream_grain, LatticeView, NodeClass};
@@ -74,8 +75,8 @@ pub(crate) fn tau_at(tau_field: Option<&[f64]>, global_tau: f64, node: usize) ->
 
 /// The original two-array collide → pull-stream pair behind the
 /// [`KernelBackend`] interface. Owns the second distribution array as
-/// private scratch (sized lazily on first stream), so the solver itself no
-/// longer carries `f_tmp`.
+/// private scratch (sized lazily on first stream, in the same row-compact
+/// layout as `f`), so the solver itself no longer carries `f_tmp`.
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceKernel {
     scratch: Vec<f64>,
@@ -94,41 +95,46 @@ impl KernelBackend for ReferenceKernel {
     }
 
     /// BGK collision with Guo forcing on every fluid node; updates stored
-    /// `rho` and `vel`. One z-plane of nodes per chunk; every write is
-    /// node-local, so the result is independent of the thread count. The
-    /// chunk's pre-collision `(ρ, m)` sum is its plane's totals partial.
+    /// `rho` and `vel`. One z-plane of nodes per chunk, swept row by row
+    /// over the stored x-ranges; every write is node-local, so the result
+    /// is independent of the thread count. The chunk's pre-collision
+    /// `(ρ, m)` sum is its plane's totals partial.
     fn collide(&mut self, view: &mut LatticeView) -> Totals {
         let global_tau = view.tau;
         let bf = view.body_force;
         let flags = view.flags;
         let tau_field = view.tau_field;
         let force = view.force;
-        let n = view.node_count();
-        let plane = view.nx * view.ny;
+        let layout = view.layout;
+        let (nx, ny, n) = (view.nx, view.ny, view.node_count());
         let f = UnsafeSlice::new(view.f.as_mut_slice());
         let rho = UnsafeSlice::new(&mut view.rho[..]);
         let vel = UnsafeSlice::new(&mut view.vel[..]);
         let mut planes = vec![[0.0; 4]; view.nz];
         let partials = UnsafeSlice::new(&mut planes);
         let pool = apr_exec::current();
-        pool.par_for_ranges(n, plane, |z, range| {
+        pool.par_for_ranges(n, nx * ny, |z, _| {
             let mut acc = [0.0; 4];
-            for node in range {
-                if flags[node] != NodeClass::Fluid {
-                    continue;
+            for r in z * ny..(z + 1) * ny {
+                let origin = layout.origin(r);
+                for x in layout.xs(r) {
+                    let node = x + nx * r;
+                    if flags[node] != NodeClass::Fluid {
+                        continue;
+                    }
+                    // SAFETY: chunk ranges are disjoint, so each node (and
+                    // its f/rho/vel storage) is touched by exactly one lane.
+                    let fs = unsafe { f.slice_mut(origin.wrapping_add(x) * Q, Q) };
+                    let rho = unsafe { &mut rho.slice_mut(node, 1)[0] };
+                    let vel = unsafe { vel.slice_mut(node * 3, 3) };
+                    let g = &force[node * 3..node * 3 + 3];
+                    let tau = tau_at(tau_field, global_tau, node);
+                    let c = bgk_post_collision(array(fs), array(g), bf, tau);
+                    accumulate(&mut acc, c.rho, c.momentum);
+                    *rho = c.rho;
+                    vel.copy_from_slice(&c.vel);
+                    fs.copy_from_slice(&c.post);
                 }
-                // SAFETY: chunk ranges are disjoint, so each node (and its
-                // f/rho/vel storage) is touched by exactly one lane.
-                let fs = unsafe { f.slice_mut(node * Q, Q) };
-                let rho = unsafe { &mut rho.slice_mut(node, 1)[0] };
-                let vel = unsafe { vel.slice_mut(node * 3, 3) };
-                let g = &force[node * 3..node * 3 + 3];
-                let tau = tau_at(tau_field, global_tau, node);
-                let c = bgk_post_collision(array(fs), array(g), bf, tau);
-                accumulate(&mut acc, c.rho, c.momentum);
-                *rho = c.rho;
-                vel.copy_from_slice(&c.vel);
-                fs.copy_from_slice(&c.post);
             }
             // SAFETY: chunk `z` is plane `z`, visited by one lane.
             unsafe { partials.slice_mut(z, 1)[0] = acc };
@@ -137,14 +143,14 @@ impl KernelBackend for ReferenceKernel {
     }
 
     /// Pull-streaming with halfway bounce-back (optionally moving walls).
-    /// Parallel over z-slabs of the scratch array; each slab is written by
-    /// one lane while `f` is read-only, so the result is thread-count
-    /// independent.
+    /// Parallel over z-slabs of the scratch array, which has the same
+    /// row-compact layout as `f`; each slab is written by one lane while
+    /// `f` is read-only, so the result is thread-count independent.
     fn stream(&mut self, view: &mut LatticeView) {
         let (nx, ny, nz) = (view.nx, view.ny, view.nz);
-        let plane = nx * ny;
         let f: &[f64] = view.f;
         let flags = view.flags;
+        let layout = view.layout;
         let has_moving_walls = !view.moving_walls.is_empty();
         let moving_walls = view.moving_walls;
         let moving_wall = |src: usize| -> Option<[f64; 3]> {
@@ -155,61 +161,64 @@ impl KernelBackend for ReferenceKernel {
         };
         let rho: &[f64] = view.rho;
         let periodic = view.periodic;
-        let neighbor = move |x: usize, y: usize, z: usize, i: usize| -> Option<usize> {
-            crate::adjacency::neighbor_index([nx, ny, nz], periodic, x, y, z, i)
-        };
         self.scratch.resize(f.len(), 0.0);
         let f_tmp = UnsafeSlice::new(&mut self.scratch);
         let pool = apr_exec::current();
         let grain = stream_grain(nz, pool.threads());
         pool.par_for_ranges(nz, grain, |_, zrange| {
+            let first = layout.plane_start(zrange.start);
+            let end = layout.plane_start(zrange.end);
+            // SAFETY: z-slabs are disjoint and each z is visited once; a
+            // slab's stored nodes are one contiguous slot range.
+            let slab = unsafe { f_tmp.slice_mut(first * Q, (end - first) * Q) };
             for z in zrange {
-                // SAFETY: z-slabs are disjoint and each z is visited once.
-                let slab = unsafe { f_tmp.slice_mut(z * plane * Q, plane * Q) };
                 for y in 0..ny {
-                    for x in 0..nx {
-                        let node = x + nx * (y + ny * z);
-                        let local = (x + nx * y) * Q;
+                    let r = y + ny * z;
+                    let origin = layout.origin(r);
+                    for x in layout.xs(r) {
+                        let node = x + nx * r;
+                        let slot = origin.wrapping_add(x);
+                        let local = (slot - first) * Q;
                         match flags[node] {
                             NodeClass::Fluid => {
                                 for i in 0..Q {
                                     // Pull from the node the population left.
                                     let o = OPPOSITE[i];
-                                    let pulled = match neighbor(x, y, z, o) {
-                                        Some(src)
-                                            if matches!(
-                                                flags[src],
-                                                NodeClass::Fluid
-                                                    | NodeClass::Velocity
-                                                    | NodeClass::Pressure
-                                            ) =>
+                                    let pulled =
+                                        match neighbor_coords([nx, ny, nz], periodic, [x, y, z], o)
                                         {
-                                            f[src * Q + i]
-                                        }
-                                        Some(src) => {
-                                            // Wall / exterior: halfway
-                                            // bounce-back, with moving-wall
-                                            // momentum term.
-                                            let mut v = f[node * Q + o];
-                                            if has_moving_walls {
-                                                if let Some(uw) = moving_wall(src) {
-                                                    let cu = C[i][0] as f64 * uw[0]
-                                                        + C[i][1] as f64 * uw[1]
-                                                        + C[i][2] as f64 * uw[2];
-                                                    v += 6.0 * W[i] * rho[node] * cu;
+                                            Some([sx, sy, sz]) => {
+                                                let src_row = sy + ny * sz;
+                                                let src = sx + nx * src_row;
+                                                if flags[src].is_stateful() {
+                                                    let s = layout.origin(src_row).wrapping_add(sx);
+                                                    f[s * Q + i]
+                                                } else {
+                                                    // Wall / exterior: halfway
+                                                    // bounce-back, with moving-wall
+                                                    // momentum term.
+                                                    let mut v = f[slot * Q + o];
+                                                    if has_moving_walls {
+                                                        if let Some(uw) = moving_wall(src) {
+                                                            let cu = C[i][0] as f64 * uw[0]
+                                                                + C[i][1] as f64 * uw[1]
+                                                                + C[i][2] as f64 * uw[2];
+                                                            v += 6.0 * W[i] * rho[node] * cu;
+                                                        }
+                                                    }
+                                                    v
                                                 }
                                             }
-                                            v
-                                        }
-                                        None => f[node * Q + o],
-                                    };
+                                            None => f[slot * Q + o],
+                                        };
                                     slab[local + i] = pulled;
                                 }
                             }
                             _ => {
-                                // Non-fluid nodes carry their distributions
-                                // forward; BC nodes are rebuilt right after.
-                                slab[local..local + Q].copy_from_slice(&f[node * Q..node * Q + Q]);
+                                // Stored non-fluid nodes carry their
+                                // distributions forward; BC nodes are
+                                // rebuilt right after.
+                                slab[local..local + Q].copy_from_slice(&f[slot * Q..slot * Q + Q]);
                             }
                         }
                     }

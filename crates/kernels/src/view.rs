@@ -5,6 +5,8 @@
 //! crate graph: `apr-lattice` builds a view of its own fields and hands it
 //! to whichever [`crate::KernelBackend`] is selected.
 
+use crate::layout::RowLayout;
+
 /// Classification of a lattice node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -20,6 +22,21 @@ pub enum NodeClass {
     /// Outside the simulated geometry; behaves as a stationary wall but is
     /// excluded from fluid-point counts (memory accounting, §3.6).
     Exterior = 4,
+}
+
+impl NodeClass {
+    /// Whether a node of this class has distributions that change:
+    /// fluid nodes collide and stream, velocity/pressure nodes are rebuilt
+    /// after every stream. Walls and exterior nodes only ever hold the
+    /// values they were given, so a [`crate::RowLayout`] built from the
+    /// flags stores the stateful nodes alone.
+    #[inline]
+    pub fn is_stateful(self) -> bool {
+        matches!(
+            self,
+            NodeClass::Fluid | NodeClass::Velocity | NodeClass::Pressure
+        )
+    }
 }
 
 /// Borrowed view of one lattice's storage, handed to a kernel for one
@@ -45,8 +62,12 @@ pub struct LatticeView<'a> {
     pub tau_field: Option<&'a [f64]>,
     /// Node classification per node.
     pub flags: &'a [NodeClass],
-    /// Distributions, `node*19 + i`. A `Vec` (not a slice) because the
-    /// reference backend swaps it with its scratch array.
+    /// Where each stored node's distributions live; it holds every
+    /// stateful node.
+    pub layout: &'a RowLayout,
+    /// Distributions, `slot*19 + i` with the slot from [`Self::layout`].
+    /// A `Vec` (not a slice) because the reference backend swaps it with
+    /// its scratch array.
     pub f: &'a mut Vec<f64>,
     /// Densities per node.
     pub rho: &'a mut [f64],

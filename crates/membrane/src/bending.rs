@@ -33,35 +33,32 @@ pub fn dihedral_gradient(x0: Vec3, x1: Vec3, x2: Vec3, x3: Vec3) -> [Vec3; 4] {
     [g0, g1, g2, g3]
 }
 
-/// Add bending forces for every interior edge; returns total bending energy.
+/// Add bending forces for every interior edge (force only: the energy is
+/// [`bending_energy`]).
 pub fn add_bending_forces(
     reference: &ReferenceState,
     eb: f64,
     vertices: &[Vec3],
     forces: &mut [Vec3],
-) -> f64 {
+) {
     assert_eq!(
         vertices.len(),
         reference.vertex_count,
         "vertex count mismatch"
     );
-    let mut energy = 0.0;
     for er in &reference.edge_refs {
         let x0 = vertices[er.v[0] as usize];
         let x1 = vertices[er.v[1] as usize];
         let x2 = vertices[er.opposite[0] as usize];
         let x3 = vertices[er.opposite[1] as usize];
         let theta = dihedral_angle(x0, x1, x2, x3);
-        let dt = theta - er.theta0;
-        energy += eb * (1.0 - dt.cos());
-        let scale = -eb * dt.sin();
+        let scale = -eb * (theta - er.theta0).sin();
         let g = dihedral_gradient(x0, x1, x2, x3);
         forces[er.v[0] as usize] += g[0] * scale;
         forces[er.v[1] as usize] += g[1] * scale;
         forces[er.opposite[0] as usize] += g[2] * scale;
         forces[er.opposite[1] as usize] += g[3] * scale;
     }
-    energy
 }
 
 /// Total bending energy without force evaluation.
@@ -132,7 +129,8 @@ mod tests {
         let mesh = icosphere(2, 1.0);
         let re = ReferenceState::build(&mesh);
         let mut forces = vec![Vec3::ZERO; mesh.vertex_count()];
-        let e = add_bending_forces(&re, 1.0, &mesh.vertices, &mut forces);
+        add_bending_forces(&re, 1.0, &mesh.vertices, &mut forces);
+        let e = bending_energy(&re, 1.0, &mesh.vertices);
         assert!(e.abs() < 1e-18, "energy = {e}");
         for f in &forces {
             assert!(f.norm() < 1e-12);
@@ -194,8 +192,8 @@ mod tests {
         let mut moved = mesh.clone();
         moved.rotate(Vec3::new(1.0, 0.2, 0.1), 0.7);
         let mut forces = vec![Vec3::ZERO; moved.vertex_count()];
-        let e = add_bending_forces(&re, 1.0, &moved.vertices, &mut forces);
-        assert!(e < 1e-18);
+        add_bending_forces(&re, 1.0, &moved.vertices, &mut forces);
+        assert!(bending_energy(&re, 1.0, &moved.vertices) < 1e-18);
         for f in &forces {
             assert!(f.norm() < 1e-9);
         }

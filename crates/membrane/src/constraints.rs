@@ -38,14 +38,15 @@ pub fn enclosed_volume(reference: &ReferenceState, vertices: &[Vec3]) -> f64 {
         .sum()
 }
 
-/// Add global-area and volume penalty forces; returns the constraint energy.
+/// Add global-area and volume penalty forces (force only: the energy is
+/// [`constraint_energy`]).
 pub fn add_constraint_forces(
     reference: &ReferenceState,
     global_area_k: f64,
     volume_k: f64,
     vertices: &[Vec3],
     forces: &mut [Vec3],
-) -> f64 {
+) {
     assert_eq!(
         vertices.len(),
         reference.vertex_count,
@@ -75,7 +76,6 @@ pub fn add_constraint_forces(
         forces[ib as usize] += pc.cross(pa) * (coeff_v / 6.0);
         forces[ic as usize] += pa.cross(pb) * (coeff_v / 6.0);
     }
-    0.5 * global_area_k * (a - a0) * (a - a0) / a0 + 0.5 * volume_k * (v - v0) * (v - v0) / v0
 }
 
 /// Constraint energy without force evaluation.
@@ -101,8 +101,8 @@ mod tests {
         let mesh = icosphere(2, 1.0);
         let re = ReferenceState::build(&mesh);
         let mut forces = vec![Vec3::ZERO; mesh.vertex_count()];
-        let e = add_constraint_forces(&re, 1.0, 1.0, &mesh.vertices, &mut forces);
-        assert!(e.abs() < 1e-18);
+        add_constraint_forces(&re, 1.0, 1.0, &mesh.vertices, &mut forces);
+        assert!(constraint_energy(&re, 1.0, 1.0, &mesh.vertices).abs() < 1e-18);
         for f in &forces {
             assert!(f.norm() < 1e-12);
         }

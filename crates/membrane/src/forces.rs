@@ -21,7 +21,7 @@ pub struct Membrane {
     pub material: MembraneMaterial,
 }
 
-/// Energy breakdown returned by [`Membrane::compute_forces`].
+/// Energy breakdown returned by [`Membrane::energy`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// In-plane Skalak energy.
@@ -48,27 +48,26 @@ impl Membrane {
         }
     }
 
-    /// Compute all membrane forces into `forces` (accumulated, not reset)
-    /// and return the energy breakdown.
-    pub fn compute_forces(&self, vertices: &[Vec3], forces: &mut [Vec3]) -> EnergyBreakdown {
+    /// Compute all membrane forces into `forces` (accumulated, not reset).
+    /// Force only — the step never reads the energies, so none is
+    /// computed here; [`Self::energy`] evaluates them.
+    pub fn compute_forces(&self, vertices: &[Vec3], forces: &mut [Vec3]) {
         let m = &self.material;
-        EnergyBreakdown {
-            skalak: add_skalak_forces(
-                &self.reference,
-                m.shear_modulus,
-                m.skalak_c,
-                vertices,
-                forces,
-            ),
-            bending: add_bending_forces(&self.reference, m.bending_modulus, vertices, forces),
-            constraint: add_constraint_forces(
-                &self.reference,
-                m.global_area_k,
-                m.volume_k,
-                vertices,
-                forces,
-            ),
-        }
+        add_skalak_forces(
+            &self.reference,
+            m.shear_modulus,
+            m.skalak_c,
+            vertices,
+            forces,
+        );
+        add_bending_forces(&self.reference, m.bending_modulus, vertices, forces);
+        add_constraint_forces(
+            &self.reference,
+            m.global_area_k,
+            m.volume_k,
+            vertices,
+            forces,
+        );
     }
 
     /// Total elastic energy of a configuration.

@@ -61,42 +61,36 @@ fn deformation_gradient(
     (d, e1, v)
 }
 
-/// Add Skalak in-plane forces for every triangle; returns the total elastic
-/// energy. `forces` must have one slot per vertex.
+/// Add Skalak in-plane forces for every triangle (force only: the energy
+/// is [`skalak_energy`]). `forces` must have one slot per vertex.
 pub fn add_skalak_forces(
     reference: &ReferenceState,
     gs: f64,
     c_skalak: f64,
     vertices: &[Vec3],
     forces: &mut [Vec3],
-) -> f64 {
-    add_inplane_forces_with(
-        reference,
-        vertices,
-        forces,
-        |i1, i2| skalak_energy_density(gs, c_skalak, i1, i2),
-        |i1, i2| skalak_energy_gradient(gs, c_skalak, i1, i2),
-    )
+) {
+    add_inplane_forces_with(reference, vertices, forces, |i1, i2| {
+        skalak_energy_gradient(gs, c_skalak, i1, i2)
+    })
 }
 
 /// Generic in-plane FEM driver: any hyperelastic membrane law expressed as
 /// `W(I₁, I₂)` with gradient `(∂W/∂I₁, ∂W/∂I₂)` gets analytic nodal forces
 /// through the deformation-gradient machinery (the Skalak law above is its
-/// one caller).
+/// one caller; [`inplane_energy_with`] is the matching energy).
 pub fn add_inplane_forces_with(
     reference: &ReferenceState,
     vertices: &[Vec3],
     forces: &mut [Vec3],
-    energy_density: impl Fn(f64, f64) -> f64,
     energy_gradient: impl Fn(f64, f64) -> (f64, f64),
-) -> f64 {
+) {
     assert_eq!(
         vertices.len(),
         reference.vertex_count,
         "vertex count mismatch"
     );
     assert_eq!(forces.len(), vertices.len(), "force buffer mismatch");
-    let mut energy = 0.0;
     for (t, &[ia, ib, ic]) in reference.triangles.iter().enumerate() {
         let tri = &reference.tri_refs[t];
         let (a, b, c) = (
@@ -110,7 +104,6 @@ pub fn add_inplane_forces_with(
         let det_d = d[0][0] * d[1][1] - d[0][1] * d[1][0];
         let i1 = g00 + g11 - 2.0;
         let i2 = det_d * det_d - 1.0;
-        energy += tri.area * energy_density(i1, i2);
         let (dw1, dw2) = energy_gradient(i1, i2);
 
         // P = 2·dw1·D + 2·dw2·det(G)·D⁻ᵀ, with det(G) = det(D)² and
@@ -139,7 +132,6 @@ pub fn add_inplane_forces_with(
         forces[ic as usize] += fc;
         forces[ia as usize] -= fb + fc;
     }
-    energy
 }
 
 /// Total Skalak energy without force evaluation.
@@ -179,7 +171,8 @@ mod tests {
         let mesh = icosphere(1, 1.0);
         let re = ReferenceState::build(&mesh);
         let mut forces = vec![Vec3::ZERO; mesh.vertex_count()];
-        let e = add_skalak_forces(&re, 1.0, 50.0, &mesh.vertices, &mut forces);
+        add_skalak_forces(&re, 1.0, 50.0, &mesh.vertices, &mut forces);
+        let e = skalak_energy(&re, 1.0, 50.0, &mesh.vertices);
         assert!(e.abs() < 1e-20, "energy = {e}");
         for f in &forces {
             assert!(f.norm() < 1e-12);
@@ -194,7 +187,8 @@ mod tests {
         moved.rotate(Vec3::new(0.3, 1.0, -0.2), 0.8);
         moved.translate(Vec3::new(2.0, -1.0, 0.5));
         let mut forces = vec![Vec3::ZERO; moved.vertex_count()];
-        let e = add_skalak_forces(&re, 1.0, 50.0, &moved.vertices, &mut forces);
+        add_skalak_forces(&re, 1.0, 50.0, &moved.vertices, &mut forces);
+        let e = skalak_energy(&re, 1.0, 50.0, &moved.vertices);
         assert!(e.abs() < 1e-12, "energy = {e}");
         for f in &forces {
             assert!(f.norm() < 1e-9, "{f:?}");

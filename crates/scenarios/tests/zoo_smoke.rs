@@ -3,9 +3,10 @@
 //! enforces. A registry entry that cannot survive this smoke test does
 //! not belong in the zoo.
 
-use apr_kernels::AdjacencyTable;
-use apr_lattice::{Boundary, KernelKind, Lattice, NodeClass, Q};
+use apr_kernels::{AdjacencyTable, RowLayout};
+use apr_lattice::{equilibrium_all, Boundary, KernelKind, Lattice, NodeClass, Q};
 use apr_scenarios::{registry, SimSession};
+use std::sync::Arc;
 
 const SMOKE_STEPS: u64 = 20;
 
@@ -111,15 +112,34 @@ fn adjacency(lat: &Lattice) -> AdjacencyTable {
             _ => None,
         })
         .collect();
-    AdjacencyTable::build(lat.nx, lat.ny, lat.nz, lat.periodic, &flags, &moving)
+    let layout = lat
+        .storage_layout()
+        .expect("a stepped lattice has a layout");
+    AdjacencyTable::build(
+        lat.nx,
+        lat.ny,
+        lat.nz,
+        lat.periodic,
+        &flags,
+        &moving,
+        layout,
+    )
 }
 
 /// The zoo's memory table: for every lattice of every registry scenario,
-/// its size, fluid fraction, `Fast`/`Slow` split, the fused kernel's
-/// scratch (op table, deferred-swap lists, chunk plan) and the lattice's
-/// bytes per fluid point, printed (`--nocapture`) before the checks: the
-/// op table has one row per `Slow` node and stays within `19 · 4` bytes
-/// per `Slow` node plus 4 bytes per node.
+/// its size, fluid fraction, `Fast`/`Slow` split, stored nodes and their
+/// distribution bytes, the fused kernel's scratch (op table, deferred-swap
+/// lists, chunk plan) and the lattice's bytes per fluid point, printed
+/// (`--nocapture`) before the checks:
+/// - the op table has one row per `Slow` node and stays within `19 · 4`
+///   bytes per `Slow` node plus 4 bytes per node;
+/// - distributions are stored for the stateful nodes, the gaps between
+///   them in a row and the nodes that hold anything but the rest state
+///   only: `stored ≤` the nodes in each row's hull of those. A coarse
+///   bulk is `stateful + gap`; a window is seeded before its geometry is
+///   flagged, so its walls hold seeded (non-rest) values and stay stored;
+/// - at 1, 2 and 4 lanes the deferred-swap lists (with the chunk plan) are
+///   no larger than the op table.
 #[test]
 fn zoo_memory_table_prices_the_kernel_by_its_slow_nodes() {
     let mut rows = Vec::new();
@@ -136,31 +156,73 @@ fn zoo_memory_table_prices_the_kernel_by_its_slow_nodes() {
         };
         for (which, mut lat) in lattices {
             lat.set_kernel(Some(KernelKind::FusedSwap));
+            let lists: Vec<usize> = [1, 2, 4]
+                .map(|lanes| {
+                    let mut lat = lat.clone();
+                    let pool = Arc::new(apr_exec::ExecPool::new(lanes));
+                    apr_exec::with_pool(pool, || lat.step());
+                    lat.kernel_scratch_bytes() - adjacency(&lat).bytes()
+                })
+                .to_vec();
             lat.step();
-            rows.push((format!("{} {which}", spec.name), lat));
+            rows.push((format!("{} {which}", spec.name), lat, lists));
         }
     }
     println!(
-        "{:<22} {:>6} {:>6} {:>6} {:>5} {:>8} {:>8} {:>8} {:>7}",
-        "lattice", "nodes", "fluid", "fast", "slow", "table B", "bound B", "kernel B", "B/fluid"
+        "{:<22} {:>6} {:>6} {:>6} {:>5} {:>6} {:>9} {:>8} {:>8} {:>8} {:>7}",
+        "lattice",
+        "nodes",
+        "fluid",
+        "fast",
+        "slow",
+        "stored",
+        "f B",
+        "table B",
+        "bound B",
+        "kernel B",
+        "B/fluid"
     );
     let mut checks = Vec::new();
-    for (name, lat) in &rows {
+    for (name, lat, lists) in &rows {
         let (n, fluid, slow) = (lat.node_count(), lat.fluid_node_count(), slow_nodes(lat));
         let table = adjacency(lat);
         let bound = slow * Q * 4 + n * 4;
+        let stored = lat.stored_node_count();
+        let rest = equilibrium_all(1.0, 0.0, 0.0, 0.0);
+        let flags: Vec<NodeClass> = (0..n)
+            .map(|node| {
+                let held = lat.distributions(node) != rest;
+                match lat.flag(node) {
+                    NodeClass::Wall | NodeClass::Exterior if held => NodeClass::Fluid,
+                    class => class,
+                }
+            })
+            .collect();
+        let stateful_and_gaps = RowLayout::stateful(lat.nx, lat.ny, lat.nz, &flags).slots();
         println!(
-            "{name:<22} {n:>6} {:>5.1}% {:>6} {slow:>5} {:>8} {bound:>8} {:>8} {:>7.0}",
+            "{name:<22} {n:>6} {:>5.1}% {:>6} {slow:>5} {stored:>6} {:>9} {:>8} {bound:>8} {:>8} {:>7.0}",
             100.0 * fluid as f64 / n as f64,
             fluid - slow,
+            std::mem::size_of_val(lat.storage_f()),
             table.bytes(),
             lat.kernel_scratch_bytes(),
             lattice_bytes(lat) as f64 / fluid as f64,
         );
-        checks.push((name, table.slow_count(), slow, table.bytes(), bound));
+        checks.push((name, table, slow, bound, stored, stateful_and_gaps, lists));
     }
-    for (name, rows, slow, bytes, bound) in checks {
-        assert_eq!(rows, slow, "{name}: one op row per Slow node");
+    for (name, table, slow, bound, stored, stateful_and_gaps, lists) in checks {
+        let bytes = table.bytes();
+        assert_eq!(table.slow_count(), slow, "{name}: one op row per Slow node");
         assert!(bytes <= bound, "{name}: op table {bytes} B > {bound} B");
+        assert!(
+            stored <= stateful_and_gaps,
+            "{name}: {stored} stored > {stateful_and_gaps} stateful, gap and non-rest nodes"
+        );
+        for (lanes, lists) in [1, 2, 4].iter().zip(lists) {
+            assert!(
+                *lists <= bytes,
+                "{name}: {lanes} lanes: deferred-swap lists {lists} B > op table {bytes} B"
+            );
+        }
     }
 }

@@ -352,14 +352,17 @@ fn mid_step_checkpoint_preserves_swap_parity() {
 /// The fused kernel's auxiliary memory (op rows, deferred-swap queues,
 /// chunk plan) is priced by the `Slow` nodes that read rows: at most
 /// `19 · 4` bytes per `Slow` node plus 4 bytes per node of a walled tube —
-/// not a second distribution array, and not an op word per slot.
+/// not a second distribution array, and not an op word per slot. The
+/// distributions themselves are stored for the stateful nodes only:
+/// `19 · 8 = 152` bytes each, nothing for the tube's walls and exterior.
 #[test]
 fn fused_kernel_eliminates_the_second_distribution_array() {
     let _guard = POOL_LOCK.lock().unwrap();
     apr_suite::exec::set_threads(2);
     let mut lat = force_driven_tube(20, 20, 128, 0.9, 8.0, 1e-6);
     let n = lat.node_count();
-    let second_array = n * Q * std::mem::size_of::<f64>();
+    let stateful = (0..n).filter(|&node| lat.flag(node).is_stateful()).count();
+    assert!(stateful < n * 3 / 4, "{stateful} stateful of {n} nodes");
     let slow = slow_nodes(&lat);
     assert!(slow < lat.fluid_node_count() / 2, "{slow} Slow nodes");
     let bound = slow * Q * 4 + n * 4;
@@ -373,9 +376,17 @@ fn fused_kernel_eliminates_the_second_distribution_array() {
         "fused scratch {} B > {bound} B ({slow} Slow of {n} nodes)",
         fused.kernel_scratch_bytes(),
     );
+    let storage_bound = stateful * Q * std::mem::size_of::<f64>() + bound;
+    assert!(
+        fused.distribution_memory_bytes() <= storage_bound,
+        "distribution memory {} B > {storage_bound} B ({stateful} stateful of {n} nodes)",
+        fused.distribution_memory_bytes(),
+    );
 
     lat.set_kernel(Some(KernelKind::Reference));
     lat.step();
+    let second_array = std::mem::size_of_val(lat.storage_f());
+    assert_eq!(second_array, stateful * Q * std::mem::size_of::<f64>());
     assert_eq!(
         lat.kernel_scratch_bytes(),
         second_array,
